@@ -299,7 +299,7 @@ func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
 	}
 	if showStats {
 		fmt.Fprintf(w, "# expanded=%d generated=%d pruned=%d solutions=%d ub-updates=%d max-pool=%d\n",
-			stats.Expanded, stats.Generated, stats.PrunedLB, stats.Solutions,
+			stats.Expanded, stats.Generated, stats.Pruned.Total(), stats.Solutions,
 			stats.UBUpdates, stats.MaxPoolLen)
 		fmt.Fprintf(w, "# pruned-by-rule: bound=%d incumbent=%d threethree=%d constraint=%d ultrametric=%d dominance=%d budget=%d\n",
 			stats.Pruned.Bound, stats.Pruned.Incumbent, stats.Pruned.ThreeThree,

@@ -1,6 +1,7 @@
 // Command evovet runs the project's static-analysis suite
 // (internal/analysis): ctxthread, atomicmix, probeguard, unsafeslab,
-// wirestrict, plus validation of //evovet:ignore suppressions.
+// wirestrict, kindswitch, onestep, plus validation of //evovet:ignore
+// suppressions.
 //
 // Two modes:
 //

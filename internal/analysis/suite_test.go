@@ -13,6 +13,7 @@ func TestProbeGuard(t *testing.T) { atest.Run(t, "probeguard", analysis.ProbeGua
 func TestUnsafeSlab(t *testing.T) { atest.Run(t, "unsafeslab", analysis.UnsafeSlab) }
 func TestWireStrict(t *testing.T) { atest.Run(t, "wirestrict", analysis.WireStrict) }
 func TestKindSwitch(t *testing.T) { atest.Run(t, "kindswitch", analysis.KindSwitch) }
+func TestOneStep(t *testing.T)    { atest.Run(t, "onestep", analysis.OneStep) }
 
 // TestDirectives exercises the //evovet:ignore machinery: justified
 // suppressions silence findings, while reasonless, unknown, malformed,

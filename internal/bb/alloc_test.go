@@ -78,7 +78,6 @@ func TestIntrospectionNilProbeZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.CountExpand(3, PruneStats{Bound: 2, ThreeThree: 1})
 		s.CountIncumbentPrune(1)
-		s.CountBoundPrune(1)
 		s.CountBudgetPrune(4)
 		if gs.enabled() {
 			gs.maybeSample(10, 5, s.Expanded, 1)

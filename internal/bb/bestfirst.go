@@ -1,13 +1,6 @@
 package bb
 
-import (
-	"container/heap"
-	"math"
-	"time"
-
-	"evotree/internal/obs"
-	"evotree/internal/tree"
-)
+import "container/heap"
 
 // Best-first search: an alternative exploration order to the paper's DFS.
 // The frontier is a priority queue keyed by lower bound, so the node most
@@ -18,20 +11,30 @@ import (
 // grow exponentially large in memory. The ablation-search experiment
 // quantifies the trade on this implementation.
 
-// nodeHeap is a min-heap of PNodes by LB (ties: deeper node first, which
-// drives toward complete solutions and keeps the heap smaller).
-type nodeHeap []*PNode
+// SolveBestFirst runs the branch-and-bound with a best-first frontier: the
+// sequential driver of SolveSequential over a NodeHeap instead of a stack.
+// Options are honored as in SolveSequential; MaxNodes doubles as a memory
+// guard since the frontier can grow large.
+func (p *Problem) SolveBestFirst(opt Options) *Result {
+	return p.solve(opt, true)
+}
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
+// NodeHeap is a container/heap min-heap of PNodes by LB (ties: deeper node
+// first, which drives toward complete solutions and keeps the heap
+// smaller). It is the best-first frontier here and the parallel engine's
+// global seed/overflow ring.
+type NodeHeap []*PNode
+
+func (h NodeHeap) Len() int { return len(h) }
+func (h NodeHeap) Less(i, j int) bool {
 	if h[i].LB != h[j].LB {
 		return h[i].LB < h[j].LB
 	}
 	return h[i].K > h[j].K
 }
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*PNode)) }
-func (h *nodeHeap) Pop() any {
+func (h NodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *NodeHeap) Push(x any)   { *h = append(*h, x.(*PNode)) }
+func (h *NodeHeap) Pop() any {
 	old := *h
 	n := len(old)
 	v := old[n-1]
@@ -40,133 +43,26 @@ func (h *nodeHeap) Pop() any {
 	return v
 }
 
-// SolveBestFirst runs the branch-and-bound with a best-first frontier.
-// Options are honored as in SolveSequential; MaxNodes doubles as a memory
-// guard since the frontier can grow large.
-func (p *Problem) SolveBestFirst(opt Options) *Result {
-	res := &Result{OpenLB: math.Inf(1)}
-	start := time.Now()
-	if opt.Probe != nil {
-		opt.Probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.n})
-		EmitSearchConfig(opt.Probe, p.n, opt)
-	}
-	ubTree, ubCost := p.InitialUpperBound()
-	ub := ubCost
-	if opt.NoInitialUB {
-		ub, ubTree = math.Inf(1), nil
-	}
-	external := opt.InitialUB > 0 && opt.InitialUB < ub
-	if external {
-		ub = opt.InitialUB
-	}
-	if opt.Probe != nil && !math.IsInf(ub, 1) {
-		opt.Probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ub, Elapsed: time.Since(start)})
-	}
-	if external {
-		res.Tree, res.Cost = nil, ub
-	} else {
-		res.Tree, res.Cost = ubTree, ub
-		if opt.CollectAll && ubTree != nil {
-			res.Trees = []*tree.Tree{ubTree}
-		}
-	}
-	res.Optimal = true
-	gs := newGapSampler(opt.Probe, opt.GapPeriod, start)
-	var exitOpen int64 // nodes still open at exit (0 unless truncated)
-	defer func() {
-		if res.Tree == nil && ubTree != nil {
-			// Nothing beat the external bound: report the feasible UPGMM
-			// incumbent so Tree and Cost agree (see Result).
-			res.Tree, res.Cost = ubTree, ubCost
-		}
-		if opt.Probe != nil {
-			// Flush prune attribution and the terminal gap snapshot before
-			// ProblemFinish, which must stay the final event of a search.
-			EmitPruneStats(opt.Probe, obs.MasterWorker, res.Stats.Pruned, time.Since(start))
-			gs.sampleNow(res.Cost, res.OpenLB, res.Stats.Expanded, exitOpen)
-			opt.Probe.Emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
-				Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
-	}()
+// frontier holds the sequential driver's open nodes: a DFS stack, or a
+// NodeHeap when best is set.
+type frontier struct {
+	nodes NodeHeap
+	best  bool
+}
 
-	// Like SolveSequential, gate the cancellation check on iterations
-	// rather than expansions, which can stall during pruning streaks.
-	var iter int64
-	np := p.NewPool()
-	frontier := &nodeHeap{p.Root()}
-	heap.Init(frontier)
-	res.Stats.Roots++
-	if gs.enabled() {
-		gs.sampleNow(ub, (*frontier)[0].LB, 0, 1)
+func (f *frontier) push(v *PNode) {
+	if f.best {
+		heap.Push(&f.nodes, v)
+		return
 	}
-	for frontier.Len() > 0 {
-		if frontier.Len() > res.Stats.MaxPoolLen {
-			res.Stats.MaxPoolLen = frontier.Len()
-		}
-		v := heap.Pop(frontier).(*PNode)
-		iter++
-		if opt.Ctx != nil && iter%1024 == 1 {
-			select {
-			case <-opt.Ctx.Done():
-				res.Optimal = false
-				res.Stats.CountBudgetPrune(int64(frontier.Len()) + 1)
-				res.OpenLB = v.LB // heap min: v bounds the whole frontier
-				exitOpen = int64(frontier.Len()) + 1
-				return res
-			default:
-			}
-		}
-		if gs.enabled() && iter%1024 == 0 {
-			// v came off an LB-ordered heap, so v.LB is the exact best
-			// open lower bound.
-			gs.maybeSample(ub, v.LB, res.Stats.Expanded, int64(frontier.Len())+1)
-		}
-		if prune(v.LB, ub, opt.CollectAll) {
-			// The heap is LB-ordered: once the best node prunes, every
-			// remaining node prunes too. These nodes entered the frontier
-			// viable and died to a later incumbent — attribute them to the
-			// incumbent rule, not the generation-time bound (satellite fix:
-			// PrunedLB used to conflate the two).
-			res.Stats.CountIncumbentPrune(int64(frontier.Len()) + 1)
-			break
-		}
-		if opt.Propagate {
-			if plb := p.PropagatedLB(v, np); prune(plb, ub, opt.CollectAll) {
-				// Unlike v.LB, the propagated bound is not the heap key, so
-				// only v dies — the rest of the frontier stays open.
-				res.Stats.CountUltrametricPrune(1)
-				np.Put(v)
-				continue
-			}
-		}
-		if opt.MaxNodes > 0 && res.Stats.Expanded >= opt.MaxNodes {
-			res.Optimal = false
-			res.Stats.CountBudgetPrune(int64(frontier.Len()) + 1)
-			res.OpenLB = v.LB
-			exitOpen = int64(frontier.Len()) + 1
-			break
-		}
-		res.Stats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, ub, opt.CollectAll, np)
-		res.Stats.CountExpand(len(children), pruned)
-		np.Put(v)
-		for _, ch := range children {
-			if prune(ch.LB, ub, opt.CollectAll) {
-				// A sibling's solution improved ub mid-loop: incumbent
-				// discard (satellite fix, see above).
-				res.Stats.CountIncumbentPrune(1)
-				np.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
-				res.Stats.Completed++
-				ub = p.recordSolution(ch, ub, opt, res, start)
-				np.Put(ch)
-				continue
-			}
-			heap.Push(frontier, ch)
-		}
+	f.nodes = append(f.nodes, v)
+}
+
+func (f *frontier) pop() *PNode {
+	if f.best {
+		return heap.Pop(&f.nodes).(*PNode)
 	}
-	return res
+	v := f.nodes[len(f.nodes)-1]
+	f.nodes = f.nodes[:len(f.nodes)-1]
+	return v
 }

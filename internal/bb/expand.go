@@ -76,7 +76,7 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		}
 		pruned.Dominance += int64(positions - 1)
 		lb := p.childBound(v, s, pos, md) + tail
-		if lb > ub || (!collectAll && lb == ub) {
+		if Prunes(lb, ub, collectAll) {
 			pruned.Bound++
 		} else {
 			children = append(children, p.insert(v, s, pos, np, md))
@@ -99,7 +99,7 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 			}
 		}
 		lb := p.childBound(v, s, pos, md) + tail
-		if lb > ub || (!collectAll && lb == ub) {
+		if Prunes(lb, ub, collectAll) {
 			pruned.Bound++
 			continue
 		}
@@ -129,18 +129,18 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 			children = children[:w]
 		}
 	}
-	SortByLB(children)
+	sortByLB(children)
 	return children, pruned
 }
 
-// SortByLB insertion-sorts nodes by ascending LB, stably and without
+// sortByLB insertion-sorts nodes by ascending LB, stably and without
 // allocating. Expand's child counts are at most 2K−1 and close to random,
 // so the simple stable sort beats sort.SliceStable; the parallel master's
 // frontier is a concatenation of already-sorted child runs, so the same
 // insertion sort finishes it in near-linear time. Ascending order is the
 // steal-ordering contract: a worker pushing a sorted run worst-first keeps
 // its best node at the deque bottom and its worst at the stealable top.
-func SortByLB(children []*PNode) {
+func sortByLB(children []*PNode) {
 	for i := 1; i < len(children); i++ {
 		for j := i; j > 0 && children[j].LB < children[j-1].LB; j-- {
 			children[j], children[j-1] = children[j-1], children[j]

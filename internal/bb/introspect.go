@@ -16,8 +16,8 @@ import (
 //     pre-clone check).
 //   - Incumbent: nodes that entered a pool/frontier/deque while viable
 //     and were discarded later because the incumbent improved in the
-//     meantime (pop-time re-checks, best-first frontier flushes, the
-//     parallel engine's lazy deque re-prunes).
+//     meantime (the step's pop-time re-check, re-checks after a sibling's
+//     offer, the parallel engine's lazy deque re-prunes).
 //   - ThreeThree: insertion positions excluded by the third-species 3-3
 //     relation.
 //   - Constraint: children dropped by the generalized per-insertion 3-3
@@ -86,41 +86,26 @@ func (p PruneStats) ByRule(rule string) int64 {
 
 // CountExpand folds one Expand call into the statistics: kept children
 // plus every discarded candidate count as Generated, and the discards are
-// attributed per rule. Expand never discards by incumbent or budget, so
-// the legacy PrunedLB sum only grows by the bound component.
+// attributed per rule.
 func (s *Stats) CountExpand(kept int, pruned PruneStats) {
 	s.Generated += int64(kept) + pruned.Total()
 	s.Pruned.Add(pruned)
-	s.PrunedLB += pruned.Bound
-}
-
-// CountBoundPrune attributes n discards to the generation-time bound rule
-// and keeps the legacy PrunedLB sum consistent.
-func (s *Stats) CountBoundPrune(n int64) {
-	s.Pruned.Bound += n
-	s.PrunedLB += n
 }
 
 // CountIncumbentPrune attributes n discards of previously viable pool
-// nodes to an incumbent improvement. PrunedLB keeps counting them (it is
-// the historical bound+incumbent sum); PrunedIncumbent carries the split.
+// nodes to an incumbent improvement.
 func (s *Stats) CountIncumbentPrune(n int64) {
 	s.Pruned.Incumbent += n
-	s.PrunedIncumbent += n
-	s.PrunedLB += n
 }
 
 // CountUltrametricPrune attributes n pop-time discards to the ultrametric
-// propagation bound. Not part of PrunedLB, which stays the historical
-// bound+incumbent sum: propagation kills exactly the nodes the plain
-// bound missed, so folding it in would hide its measured value.
+// propagation bound.
 func (s *Stats) CountUltrametricPrune(n int64) {
 	s.Pruned.Ultrametric += n
 }
 
 // CountBudgetPrune attributes n abandoned nodes to search truncation
-// (MaxNodes or context cancellation). Not part of PrunedLB: these nodes
-// were never proven hopeless.
+// (MaxNodes or context cancellation).
 func (s *Stats) CountBudgetPrune(n int64) {
 	s.Pruned.Budget += n
 }

@@ -10,10 +10,10 @@
 // and the optional 3-3 relationship constraint applied when the third
 // species is inserted.
 //
-// The package also exposes the search frontier (Problem / PNode / Expand)
-// so the parallel engine (internal/pbb) and the cluster simulator
-// (internal/cluster) can drive the identical search with their own pool
-// disciplines.
+// The package also exposes the search step (Step, over Problem and PNode)
+// so the parallel engine (internal/pbb), the distributed farm
+// (internal/dist) and the cluster simulator (internal/cluster) run the
+// identical search with their own pool disciplines.
 package bb
 
 import (
@@ -176,4 +176,3 @@ type permView struct{ p *Problem }
 
 func (v permView) Len() int            { return v.p.n }
 func (v permView) At(i, j int) float64 { return v.p.dist(i, j) }
-

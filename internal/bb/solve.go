@@ -110,18 +110,6 @@ func (opt Options) ruleSet() string {
 	return s
 }
 
-// EmitSearchConfig publishes the obs.SearchConfig event describing the
-// rules opt enables, right after ProblemStart. Shared by every engine so
-// traces and dashboards can attribute prune-rate differences to the
-// configuration that produced them. No-op on a nil probe.
-func EmitSearchConfig(p obs.Probe, n int, opt Options) {
-	if p == nil {
-		return
-	}
-	p.Emit(obs.Event{Kind: obs.SearchConfig, Worker: obs.MasterWorker,
-		N: n, Phase: opt.ruleSet()})
-}
-
 // Stats count the work a search performed. The counters satisfy the
 // node-accounting identity
 //
@@ -134,16 +122,8 @@ type Stats struct {
 	// Generated counts candidate children considered: survivors plus
 	// every candidate a rule discarded (bound, 3-3, constraint).
 	Generated int64
-	// PrunedLB is the historical "discarded by LB ≥ UB" sum — kept as
-	// Pruned.Bound + Pruned.Incumbent for compatibility; see
-	// PrunedIncumbent and Pruned for the split.
-	PrunedLB int64
-	// PrunedIncumbent counts nodes that entered the pool/frontier while
-	// viable and were discarded later because the incumbent improved
-	// (identical to Pruned.Incumbent, surfaced as a flat field).
-	PrunedIncumbent int64
-	Solutions       int64 // complete topologies reaching the incumbent cost
-	UBUpdates       int64 // strict improvements of the upper bound
+	Solutions int64 // complete topologies reaching the incumbent cost
+	UBUpdates int64 // strict improvements of the upper bound
 	// Completed counts complete topologies consumed by the search,
 	// whether or not they matched the incumbent.
 	Completed int64
@@ -159,8 +139,6 @@ type Stats struct {
 func (s *Stats) Add(other Stats) {
 	s.Expanded += other.Expanded
 	s.Generated += other.Generated
-	s.PrunedLB += other.PrunedLB
-	s.PrunedIncumbent += other.PrunedIncumbent
 	s.Solutions += other.Solutions
 	s.UBUpdates += other.UBUpdates
 	s.Completed += other.Completed
@@ -204,44 +182,79 @@ func Solve(m *matrix.Matrix, opt Options) (*Result, error) {
 // always descends into the child with the smallest lower bound first, which
 // is the paper's "get the tree for branch using DFS" on a sorted pool.
 func (p *Problem) SolveSequential(opt Options) *Result {
-	res := &Result{OpenLB: math.Inf(1)}
-	start := time.Now()
+	return p.solve(opt, false)
+}
+
+// Seed is the incumbent a search starts from (Step 3 of BBU), shared by
+// the sequential and parallel engines.
+type Seed struct {
+	// UB is the bound the search first prunes against: the UPGMM cost,
+	// a tighter Options.InitialUB, or +Inf under Options.NoInitialUB.
+	UB float64
+	// Tree is the incumbent tree at UB; nil when UB came from InitialUB
+	// (no tree attains it yet) or no feasible tree is known.
+	Tree *tree.Tree
+
+	upgmm     *tree.Tree // feasible fallback; nil under NoInitialUB
+	upgmmCost float64
+}
+
+// Start opens a search on p: it emits ProblemStart and SearchConfig,
+// seeds the upper bound as opt asks (UPGMM, InitialUB, NoInitialUB) and
+// emits SeedBound when the seed is finite. start is the search's clock.
+func (p *Problem) Start(opt Options, start time.Time) Seed {
 	if opt.Probe != nil {
 		opt.Probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.n})
-		EmitSearchConfig(opt.Probe, p.n, opt)
+		// The rule set lets traces and dashboards attribute prune-rate
+		// differences to the configuration that produced them.
+		opt.Probe.Emit(obs.Event{Kind: obs.SearchConfig, Worker: obs.MasterWorker,
+			N: p.n, Phase: opt.ruleSet()})
 	}
-	ubTree, ubCost := p.InitialUpperBound()
-	ub := ubCost
+	var s Seed
+	s.upgmm, s.upgmmCost = p.InitialUpperBound()
+	s.UB, s.Tree = s.upgmmCost, s.upgmm
 	if opt.NoInitialUB {
-		ub, ubTree = math.Inf(1), nil
+		s.UB, s.Tree, s.upgmm = math.Inf(1), nil, nil
 	}
-	external := opt.InitialUB > 0 && opt.InitialUB < ub
-	if external {
+	if opt.InitialUB > 0 && opt.InitialUB < s.UB {
 		// Search against the tighter externally supplied bound, keeping
 		// the UPGMM tree around as the feasible fallback incumbent.
-		ub = opt.InitialUB
+		s.UB, s.Tree = opt.InitialUB, nil
 	}
-	if opt.Probe != nil && !math.IsInf(ub, 1) {
+	if opt.Probe != nil && !math.IsInf(s.UB, 1) {
 		opt.Probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ub, Elapsed: time.Since(start)})
+			Value: s.UB, Elapsed: time.Since(start)})
 	}
-	if external {
-		res.Tree, res.Cost = nil, ub
-	} else {
-		res.Tree, res.Cost = ubTree, ub
-		if opt.CollectAll && ubTree != nil {
-			res.Trees = []*tree.Tree{ubTree}
-		}
+	return s
+}
+
+// Final returns the tree and cost a finished search reports: its
+// incumbent t at cost, or — when nothing beat an external InitialUB — the
+// feasible UPGMM tree at its own cost, so Tree and Cost agree (see
+// Result).
+func (s Seed) Final(t *tree.Tree, cost float64) (*tree.Tree, float64) {
+	if t == nil && s.upgmm != nil {
+		return s.upgmm, s.upgmmCost
 	}
-	res.Optimal = true
+	return t, cost
+}
+
+// solve is the sequential driver behind SolveSequential and
+// SolveBestFirst: the shared Step over a DFS stack, or over an LB-ordered
+// heap when bestFirst is set.
+func (p *Problem) solve(opt Options, bestFirst bool) *Result {
+	res := &Result{OpenLB: math.Inf(1), Optimal: true}
+	start := time.Now()
+	seed := p.Start(opt, start)
+	ub := seed.UB
+	res.Tree, res.Cost = seed.Tree, ub
+	if opt.CollectAll && seed.Tree != nil {
+		res.Trees = []*tree.Tree{seed.Tree}
+	}
 	gs := newGapSampler(opt.Probe, opt.GapPeriod, start)
 	var exitOpen int64 // nodes still open at exit (0 unless truncated)
 	defer func() {
-		if res.Tree == nil && ubTree != nil {
-			// Nothing beat the external bound: report the feasible UPGMM
-			// incumbent so Tree and Cost agree (see Result).
-			res.Tree, res.Cost = ubTree, ubCost
-		}
+		res.Tree, res.Cost = seed.Final(res.Tree, res.Cost)
 		if opt.Probe != nil {
 			// Flush the batched prune attribution and the terminal gap
 			// snapshot BEFORE ProblemFinish: consumers rely on
@@ -253,92 +266,63 @@ func (p *Problem) SolveSequential(opt Options) *Result {
 		}
 	}()
 
+	np := p.NewPool()
+	st := &Step{P: p, Opt: opt, Pool: np, Budget: NewBudget(opt.MaxNodes), Stats: &res.Stats}
+	f := frontier{best: bestFirst}
+	f.push(p.Root())
+	res.Stats.Roots++
+	if gs.enabled() {
+		gs.sampleNow(ub, f.nodes[0].LB, 0, 1)
+	}
 	// The cancellation gate counts loop iterations, not expansions: long
 	// pruning streaks leave Stats.Expanded frozen, and gating on it would
 	// either re-poll the context every iteration (Expanded%1024 stuck at
 	// 0) or never poll it again (stuck at a non-zero residue).
 	var iter int64
-	np := p.NewPool()
-	stack := []*PNode{p.Root()}
-	res.Stats.Roots++
-	if gs.enabled() {
-		gs.sampleNow(ub, stack[0].LB, 0, 1)
-	}
-	for len(stack) > 0 {
-		if len(stack) > res.Stats.MaxPoolLen {
-			res.Stats.MaxPoolLen = len(stack)
+	for len(f.nodes) > 0 {
+		if len(f.nodes) > res.Stats.MaxPoolLen {
+			res.Stats.MaxPoolLen = len(f.nodes)
 		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		v := f.pop()
 		iter++
-		if opt.Ctx != nil && iter%1024 == 1 {
-			select {
-			case <-opt.Ctx.Done():
-				res.Optimal = false
-				res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-				res.OpenLB = math.Min(v.LB, minLB(stack))
-				exitOpen = int64(len(stack)) + 1
-				return res
-			default:
-			}
-		}
+		ok := opt.Ctx == nil || iter%1024 != 1 || opt.Ctx.Err() == nil
 		if gs.enabled() && iter%1024 == 0 {
-			gs.maybeSample(ub, math.Min(v.LB, minLB(stack)),
-				res.Stats.Expanded, int64(len(stack))+1)
+			gs.maybeSample(ub, math.Min(v.LB, minLB(f.nodes)),
+				res.Stats.Expanded, int64(len(f.nodes))+1)
 		}
-		if prune(v.LB, ub, opt.CollectAll) {
-			res.Stats.CountIncumbentPrune(1)
-			np.Put(v)
-			continue
+		var children []*PNode
+		if ok {
+			children, ok = st.Run(v, ub)
 		}
-		if opt.Propagate {
-			if plb := p.PropagatedLB(v, np); prune(plb, ub, opt.CollectAll) {
-				res.Stats.CountUltrametricPrune(1)
-				np.Put(v)
-				continue
-			}
-		}
-		if opt.MaxNodes > 0 && res.Stats.Expanded >= opt.MaxNodes {
+		if !ok {
+			// Cancelled or out of budget: v and the frontier are
+			// abandoned unexplored, and their best LB is the proof floor.
 			res.Optimal = false
-			res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-			res.OpenLB = math.Min(v.LB, minLB(stack))
-			exitOpen = int64(len(stack)) + 1
+			exitOpen = int64(len(f.nodes)) + 1
+			res.Stats.CountBudgetPrune(exitOpen)
+			res.OpenLB = math.Min(v.LB, minLB(f.nodes))
 			break
 		}
-		res.Stats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, ub, opt.CollectAll, np)
-		res.Stats.CountExpand(len(children), pruned)
-		np.Put(v)
 		// Children arrive sorted by ascending LB; push in reverse so the
 		// most promising child is popped first.
 		for i := len(children) - 1; i >= 0; i-- {
 			ch := children[i]
-			if prune(ch.LB, ub, opt.CollectAll) {
+			switch {
+			case Prunes(ch.LB, ub, opt.CollectAll):
 				// An earlier sibling's solution improved ub after Expand's
 				// bound check — an incumbent discard, not a bound one.
 				res.Stats.CountIncumbentPrune(1)
 				np.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
+			case ch.Complete(p):
 				res.Stats.Completed++
 				ub = p.recordSolution(ch, ub, opt, res, start)
 				np.Put(ch)
-				continue
+			default:
+				f.push(ch)
 			}
-			stack = append(stack, ch)
 		}
 	}
 	return res
-}
-
-// prune reports whether a node with the given lower bound cannot improve
-// (or, when collecting all optima, cannot match) the incumbent.
-func prune(lb, ub float64, collectAll bool) bool {
-	if collectAll {
-		return lb > ub
-	}
-	return lb >= ub
 }
 
 // recordSolution folds a complete topology into the result and returns the

@@ -394,3 +394,23 @@ func TestBestFirstCollectAll(t *testing.T) {
 		t.Fatalf("best-first found %d optima, DFS %d", len(bf.Trees), len(dfs.Trees))
 	}
 }
+
+// TestTwoSpeciesWithoutSeed: with n=2 the root is already the only
+// topology, so a search started from NoInitialUB must hand it back as its
+// solution in both sequential drivers instead of returning no tree.
+func TestTwoSpeciesWithoutSeed(t *testing.T) {
+	m := matrix.New(2)
+	m.Set(0, 1, 4)
+	p, err := NewProblem(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.SolveSequential(DefaultOptions()).Cost // the seeded search
+	opt := DefaultOptions()
+	opt.NoInitialUB = true
+	for name, res := range map[string]*Result{"dfs": p.SolveSequential(opt), "best-first": p.SolveBestFirst(opt)} {
+		if res.Tree == nil || res.Cost != want || !res.Optimal {
+			t.Fatalf("%s: tree %v cost %v optimal %v, want the cherry at cost %v", name, res.Tree, res.Cost, res.Optimal, want)
+		}
+	}
+}

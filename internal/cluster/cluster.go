@@ -46,17 +46,15 @@ type Config struct {
 	// Used by the ablation experiments to measure what the paper's
 	// global/local pool design buys.
 	DisableGlobalPool bool
-	// MaxExpansions aborts the simulated search after this many node
-	// expansions when positive; Result.Capped reports the cut. A safety
-	// valve for large sweeps.
-	MaxExpansions int64
 	// Speeds optionally gives per-node relative speeds (1.0 = nominal):
 	// node i expands a BBT node in TBranch/Speeds[i] time units. Missing
 	// or non-positive entries default to 1. Models the heterogeneous
 	// hardware of the grid report (the UniGrid nodes were slower than the
 	// lab cluster).
 	Speeds []float64
-	// BB carries the search options (max–min, 3-3, ...).
+	// BB carries the search options (max–min, 3-3, ...). BB.MaxNodes caps
+	// the simulated search's expansions, master and slaves together;
+	// Result.Capped reports the cut.
 	BB bb.Options
 }
 
@@ -103,7 +101,7 @@ type Result struct {
 	// MasterTime is the virtual time the master spent building and
 	// dispatching the initial frontier; slaves start after it.
 	MasterTime float64
-	// Capped reports that MaxExpansions cut the search short; Cost is then
+	// Capped reports that BB.MaxNodes cut the search short; Cost is then
 	// the best bound found rather than the proven optimum.
 	Capped     bool
 	Expanded   int64     // BBT nodes expanded across all slaves (and master)
@@ -164,40 +162,21 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 	res := &Result{NodeBusy: make([]float64, cfg.Nodes)}
 
 	// ---- master phase ----
-	_, ub := p.InitialUpperBound()
-	if cfg.BB.InitialUB > 0 && cfg.BB.InitialUB < ub {
-		ub = cfg.BB.InitialUB
+	// One Step serves the master and every slave: the model is
+	// single-threaded, so they share its pool, its statistics and the
+	// BB.MaxNodes budget.
+	var stats bb.Stats
+	st := &bb.Step{P: p, Opt: cfg.BB, Pool: p.NewPool(), Budget: bb.NewBudget(cfg.BB.MaxNodes), Stats: &stats}
+	_, best := p.InitialUpperBound()
+	if cfg.BB.InitialUB > 0 && cfg.BB.InitialUB < best {
+		best = cfg.BB.InitialUB
 	}
-	best := ub
-	var masterTime float64
-	target := cfg.InitialFanout * cfg.Nodes
-	frontier := []*bb.PNode{p.Root()}
-	for len(frontier) > 0 && len(frontier) < target {
-		v := frontier[0]
-		frontier = frontier[1:]
-		masterTime += cfg.TBranch
-		res.Expanded++
-		if v.Complete(p) {
-			if v.Cost < best {
-				best = v.Cost
-			}
-			continue
-		}
-		children, _ := p.Expand(v, cfg.BB.Constraints, best, false, nil)
-		for _, ch := range children {
-			switch {
-			case ch.LB >= best:
-				// pruned at generation time
-			case ch.Complete(p):
-				if ch.Cost < best {
-					best = ch.Cost
-				}
-			default:
-				frontier = append(frontier, ch)
-			}
-		}
-	}
-	sort.SliceStable(frontier, func(i, j int) bool { return frontier[i].LB < frontier[j].LB })
+	frontier, ok := st.Split(p.Root(), cfg.InitialFanout*cfg.Nodes, best, func(v *bb.PNode) float64 {
+		best = math.Min(best, v.Cost)
+		return best
+	})
+	res.Capped = !ok
+	masterTime := cfg.TBranch * float64(stats.Expanded)
 	res.MasterTime = masterTime
 
 	// ---- dispatch (cyclic, one message per subproblem) ----
@@ -246,7 +225,7 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 	}
 
 	// ---- event loop ----
-	for {
+	for !res.Capped {
 		// Choose the earliest-clock worker that can make progress.
 		wi := -1
 		for i, w := range workers {
@@ -258,10 +237,6 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 			}
 		}
 		if wi == -1 {
-			break
-		}
-		if cfg.MaxExpansions > 0 && res.Expanded >= cfg.MaxExpansions {
-			res.Capped = true
 			break
 		}
 		w := workers[wi]
@@ -285,43 +260,35 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 		}
 		v := w.local[len(w.local)-1]
 		w.local = w.local[:len(w.local)-1]
-		ub := visibleUB(w)
-		if v.LB >= ub {
-			continue // pruning costs no branching time
+		expanded := stats.Expanded
+		children, ok := st.Run(v, visibleUB(w))
+		if !ok {
+			res.Capped = true
+			break
 		}
-		step := cfg.TBranch / w.speed
-		w.clock += step
-		w.busy += step
-		res.Expanded++
-		if v.Complete(p) {
-			if v.Cost < ub {
-				w.lastUB = v.Cost
-				events = append(events, ubEvent{t: w.clock + cfg.Latency, ub: v.Cost})
-				res.Messages += int64(cfg.Nodes - 1)
-				if v.Cost < best {
-					best = v.Cost
-				}
-			}
-			continue
+		if stats.Expanded > expanded {
+			// Pruning costs no branching time; an expansion does.
+			step := cfg.TBranch / w.speed
+			w.clock += step
+			w.busy += step
 		}
-		children, _ := p.Expand(v, cfg.BB.Constraints, ub, false, nil)
 		// Children arrive sorted ascending by LB; append in reverse so the
 		// most promising child sits at the tail (popped next by the DFS),
 		// matching the real engine's stack discipline.
 		for i := len(children) - 1; i >= 0; i-- {
 			ch := children[i]
+			ub := visibleUB(w)
 			switch {
-			case ch.LB >= visibleUB(w):
-				// pruned
+			case bb.Prunes(ch.LB, ub, cfg.BB.CollectAll):
+				st.Pool.Put(ch)
 			case ch.Complete(p):
-				if ch.Cost < visibleUB(w) {
+				if ch.Cost < ub {
 					w.lastUB = ch.Cost
 					events = append(events, ubEvent{t: w.clock + cfg.Latency, ub: ch.Cost})
 					res.Messages += int64(cfg.Nodes - 1)
-					if ch.Cost < best {
-						best = ch.Cost
-					}
+					best = math.Min(best, ch.Cost)
 				}
+				st.Pool.Put(ch)
 			default:
 				w.local = append(w.local, ch)
 			}
@@ -336,6 +303,7 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 		}
 	}
 
+	res.Expanded = stats.Expanded
 	res.Cost = best
 	makespan := masterTime
 	for i, w := range workers {

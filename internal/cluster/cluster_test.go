@@ -167,7 +167,7 @@ func TestMaxExpansionsCapsSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := matrix.Random0100(rng, 14)
 	cfg := ClusterConfig(4)
-	cfg.MaxExpansions = 20
+	cfg.BB.MaxNodes = 20
 	res, err := Simulate(m, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evotree/internal/bb"
@@ -37,10 +39,11 @@ type Options struct {
 	// Reduction picks the decompose-mode group-distance rule. Default
 	// compact.Maximum, the only rule that keeps the merged tree feasible.
 	Reduction compact.Reduction
-	// BB carries the search options. UseMaxMin and Constraints are
-	// shipped to the workers; MaxNodes is a farm-wide expansion budget;
-	// Ctx cancels Wait; Probe receives the coordinator's telemetry.
-	// InitialUB, NoInitialUB and CollectAll are not supported here.
+	// BB carries the search options. UseMaxMin, Constraints and
+	// Propagate are shipped to the workers; MaxNodes is a farm-wide
+	// expansion budget; Ctx cancels Wait; Probe receives the
+	// coordinator's telemetry. NewCoordinator rejects CollectAll,
+	// InitialUB and NoInitialUB, which the farm does not implement.
 	BB bb.Options
 	// LeaseTTL is how long a worker may hold a unit before the
 	// coordinator re-queues it for someone else. Default 10s.
@@ -171,8 +174,9 @@ type Coordinator struct {
 	ubUpdates   int64
 	truncated   bool
 	openLB      float64
-	limited     bool
-	remaining   int64 // remaining shared expansion budget (when limited)
+	// budget is the farm-wide expansion budget (nil when unlimited): the
+	// slicer draws from it, and accepted results are charged to it.
+	budget *atomic.Int64
 
 	dispatches, requeues, stale, broadcasts, messages int64
 
@@ -185,19 +189,21 @@ type Coordinator struct {
 // returns a coordinator ready to serve workers. The master slicing runs
 // synchronously here (bounded: Fanout×Workers nodes per matrix).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
+	if opt.BB.CollectAll || opt.BB.InitialUB > 0 || opt.BB.NoInitialUB {
+		return nil, errors.New("dist: the farm does not support CollectAll, InitialUB or NoInitialUB")
+	}
 	opt = opt.withDefaults()
 	c := &Coordinator{
-		opt:       opt,
-		m:         m,
-		probe:     opt.BB.Probe,
-		start:     time.Now(),
-		job:       randomJobID(),
-		boundCh:   make(chan struct{}),
-		doneCh:    make(chan struct{}),
-		workers:   make(map[string]*workerEntry),
-		openLB:    math.Inf(1),
-		limited:   opt.BB.MaxNodes > 0,
-		remaining: opt.BB.MaxNodes,
+		opt:     opt,
+		m:       m,
+		probe:   opt.BB.Probe,
+		start:   time.Now(),
+		job:     randomJobID(),
+		boundCh: make(chan struct{}),
+		doneCh:  make(chan struct{}),
+		workers: make(map[string]*workerEntry),
+		openLB:  math.Inf(1),
+		budget:  bb.NewBudget(opt.BB.MaxNodes),
 	}
 	c.emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: m.Len()})
 	if opt.Decompose {
@@ -269,69 +275,24 @@ func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
 	return cm, nil
 }
 
-// slice runs the master branching phase for cm: breadth-first expansion
-// until the frontier can feed every worker, then one unit per frontier
-// node. Mirrors the in-process parallel engine's master phase, including
-// budget and cancellation handling.
+// slice runs the master branching phase for cm (bb.Step.Split, the
+// in-process parallel engine's master phase, budget and cancellation
+// included), then makes one unit per open frontier node.
 func (c *Coordinator) slice(cm *coordMatrix) {
 	target := c.opt.Fanout * c.opt.Workers
 	if target < 2 {
 		target = 2
 	}
-	frontier := []*bb.PNode{cm.p.Root()}
+	st := &bb.Step{P: cm.p, Opt: c.opt.BB, Pool: cm.np, Budget: c.budget, Stats: &c.masterStats}
 	c.masterStats.Roots++
-	for len(frontier) > 0 && len(frontier) < target {
-		if c.limited && c.masterStats.Expanded >= c.opt.BB.MaxNodes {
-			c.truncated = true
-			break
-		}
-		if ctx := c.opt.BB.Ctx; ctx != nil {
-			select {
-			case <-ctx.Done():
-				c.truncated = true
-			default:
-			}
-			if c.truncated {
-				break
-			}
-		}
-		v := frontier[0]
-		frontier = frontier[1:]
-		if v.Complete(cm.p) {
-			c.masterStats.Completed++
-			c.offerCost(cm, v.Path(), v.Cost, obs.MasterWorker)
-			cm.np.Put(v)
-			continue
-		}
-		c.masterStats.Expanded++
-		children, pruned := cm.p.Expand(v, c.opt.BB.Constraints, cm.ub, false, cm.np)
-		c.masterStats.CountExpand(len(children), pruned)
-		cm.np.Put(v)
-		for _, ch := range children {
-			if ch.LB >= cm.ub {
-				c.masterStats.CountIncumbentPrune(1)
-				cm.np.Put(ch)
-				continue
-			}
-			if ch.Complete(cm.p) {
-				c.masterStats.Completed++
-				c.offerCost(cm, ch.Path(), ch.Cost, obs.MasterWorker)
-				cm.np.Put(ch)
-				continue
-			}
-			frontier = append(frontier, ch)
-		}
+	frontier, ok := st.Split(cm.p.Root(), target, cm.ub, func(v *bb.PNode) float64 {
+		c.offerCost(cm, v.Path(), v.Cost, obs.MasterWorker)
+		return cm.ub
+	})
+	if !ok {
+		c.truncated = true
 	}
-	bb.SortByLB(frontier)
 	for _, v := range frontier {
-		// Master completions may have tightened the bound after v entered
-		// the frontier; discard it here rather than shipping a unit whose
-		// first act would be pruning itself.
-		if v.LB >= cm.ub {
-			c.masterStats.CountIncumbentPrune(1)
-			cm.np.Put(v)
-			continue
-		}
 		u := &unit{id: len(c.units), mid: cm.id, path: v.Path(), lb: v.LB, queued: true}
 		c.units = append(c.units, u)
 		c.queue = append(c.queue, u.id)
@@ -507,6 +468,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		Job:         c.job,
 		UseMaxMin:   c.opt.BB.UseMaxMin,
 		Constraints: c.opt.BB.Constraints,
+		Propagate:   c.opt.BB.Propagate,
 		LeaseTTLMS:  c.opt.LeaseTTL.Milliseconds(),
 		Epoch:       c.epoch,
 		Bounds:      c.boundsLocked(),
@@ -556,9 +518,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.emit(obs.Event{Kind: obs.Dispatch, Worker: we.id, Nodes: int64(uid),
 			Elapsed: time.Since(c.start)})
 		resp.Unit, resp.Seq, resp.Matrix, resp.Path = u.id, u.seq, u.mid, u.path
-		if c.limited {
+		if c.budget != nil {
 			resp.Limited = true
-			resp.Budget = c.remaining
+			resp.Budget = max(0, c.budget.Load())
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -607,11 +569,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		c.outstanding--
 		c.foldedStats.Add(req.Stats)
-		if c.limited {
-			c.remaining -= req.Stats.Expanded
-			if c.remaining < 0 {
-				c.remaining = 0
-			}
+		if c.budget != nil {
+			c.budget.Add(-req.Stats.Expanded)
 		}
 		if req.Truncated {
 			c.truncated = true

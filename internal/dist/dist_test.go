@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -150,4 +151,67 @@ func TestSolveBudget(t *testing.T) {
 		t.Fatalf("expected truncated result under MaxNodes=16")
 	}
 	identity(t, res.Stats)
+}
+
+// TestFarmHonoursPropagate checks that Options.Propagate crosses the
+// wire: on an instance where the sequential engine with the propagation
+// bound (verify's bbprop) records ultrametric prunes, the workers of a
+// farm under bb.StrongOptions record them too — beyond any the
+// coordinator's slicer made — and the farm still proves the sequential
+// optimum.
+func TestFarmHonoursPropagate(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(12)), 12)
+	ref := bb.DefaultOptions()
+	ref.Propagate = true
+	seq, err := bb.Solve(m, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Stats.Pruned.Ultrametric == 0 {
+		t.Fatal("instance no longer exercises the propagation bound")
+	}
+	c, err := NewCoordinator(m, Options{Workers: 3, BB: bb.StrongOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sliced := c.masterStats.Pruned.Ultrametric
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() { errCh <- RunWorker(ctx, srv.URL, WorkerOptions{Name: "w", Poll: 2 * time.Millisecond}) }()
+	res, err := c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if werr := <-errCh; werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	if res.Cost != seq.Cost || !res.Optimal {
+		t.Fatalf("farm cost %v (optimal %v), sequential %v", res.Cost, res.Optimal, seq.Cost)
+	}
+	if res.Stats.Pruned.Ultrametric <= sliced {
+		t.Fatalf("workers recorded no ultrametric prunes (%d farm-wide, %d by the slicer)",
+			res.Stats.Pruned.Ultrametric, sliced)
+	}
+	identity(t, res.Stats)
+}
+
+// TestNewCoordinatorRejectsUnsupportedOptions: the farm implements
+// neither CollectAll nor an external or suppressed initial bound, so it
+// refuses them instead of ignoring them.
+func TestNewCoordinatorRejectsUnsupportedOptions(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(13)), 6)
+	for name, set := range map[string]func(*bb.Options){
+		"CollectAll":  func(o *bb.Options) { o.CollectAll = true },
+		"InitialUB":   func(o *bb.Options) { o.InitialUB = 100 },
+		"NoInitialUB": func(o *bb.Options) { o.NoInitialUB = true },
+	} {
+		opt := Options{Workers: 2, BB: bb.DefaultOptions()}
+		set(&opt.BB)
+		if _, err := NewCoordinator(m, opt); err == nil {
+			t.Errorf("NewCoordinator accepted %s", name)
+		}
+	}
 }

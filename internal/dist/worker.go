@@ -237,27 +237,18 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 		return res, fmt.Errorf("dist: unit %d seed: %w", lease.Unit, err)
 	}
 
-	budget := int64(math.MaxInt64)
+	st := &bb.Step{P: p, Pool: np, Stats: &res.Stats,
+		Opt: bb.Options{Constraints: w.job.Constraints, Propagate: w.job.Propagate, Ctx: ctx}}
 	if lease.Limited {
-		budget = lease.Budget
+		st.Budget = new(atomic.Int64)
+		st.Budget.Store(lease.Budget)
 	}
-	openLB := math.Inf(1)
-	abandon := func(stack []*bb.PNode, v *bb.PNode) {
-		res.Truncated = true
-		res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-		openLB = math.Min(openLB, v.LB)
-		for _, o := range stack {
-			openLB = math.Min(openLB, o.LB)
-			np.Put(o)
-		}
-		np.Put(v)
-	}
-
-	var iter int64
-	stack := []*bb.PNode{seed}
 	var bestPath []int
 	bestCost := math.Inf(1)
-loop:
+	bound := func() float64 { return math.Min(w.bound(lease.Matrix), bestCost) }
+	openLB := math.Inf(1)
+	var iter int64
+	stack := []*bb.PNode{seed}
 	for len(stack) > 0 {
 		if len(stack) > res.Stats.MaxPoolLen {
 			res.Stats.MaxPoolLen = len(stack)
@@ -265,41 +256,39 @@ loop:
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		iter++
-		if iter%256 == 1 && ctx.Err() != nil {
-			abandon(stack, v)
-			break loop
+		var children []*bb.PNode
+		ok := iter%256 != 1 || ctx.Err() == nil
+		if ok {
+			expanded := res.Stats.Expanded
+			children, ok = st.Run(v, bound())
+			if res.Stats.Expanded > expanded && w.opt.StepDelay > 0 {
+				sleep(ctx, w.opt.StepDelay)
+			}
 		}
-		ub := math.Min(w.bound(lease.Matrix), bestCost)
-		if v.LB >= ub {
-			res.Stats.CountIncumbentPrune(1)
-			np.Put(v)
-			continue
+		if !ok {
+			// Cancelled or out of budget: abandon v and the rest of the
+			// unit as budget prunes; their best LB is the proof floor.
+			res.Truncated = true
+			res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
+			for _, o := range append(stack, v) {
+				openLB = math.Min(openLB, o.LB)
+				np.Put(o)
+			}
+			break
 		}
-		if res.Stats.Expanded >= budget {
-			abandon(stack, v)
-			break loop
-		}
-		if w.opt.StepDelay > 0 {
-			sleep(ctx, w.opt.StepDelay)
-		}
-		res.Stats.Expanded++
-		children, pruned := p.Expand(v, w.job.Constraints, ub, false, np)
-		res.Stats.CountExpand(len(children), pruned)
-		np.Put(v)
 		for i := len(children) - 1; i >= 0; i-- {
 			ch := children[i]
-			if ch.LB >= math.Min(w.bound(lease.Matrix), bestCost) {
+			switch {
+			case bb.Prunes(ch.LB, bound(), false):
 				res.Stats.CountIncumbentPrune(1)
 				np.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
+			case ch.Complete(p):
 				res.Stats.Completed++
 				w.recordSolution(ctx, lease.Matrix, ch, &bestPath, &bestCost, &res)
 				np.Put(ch)
-				continue
+			default:
+				stack = append(stack, ch)
 			}
-			stack = append(stack, ch)
 		}
 	}
 	if res.Truncated && !math.IsInf(openLB, 1) {

@@ -59,7 +59,7 @@ func gridRunsUncached(cfg Config) (ns []int, single, clus, grid [][]float64, err
 				cluster.ClusterConfig(16),
 				cluster.GridConfig(16),
 			} {
-				ccfg.MaxExpansions = parCap(cfg)
+				ccfg.BB.MaxNodes = parCap(cfg)
 				res, e := cluster.Simulate(m, ccfg)
 				if e != nil {
 					return nil, nil, nil, nil, e
@@ -122,7 +122,7 @@ func runGrid24(cfg Config) (*Figure, error) {
 			cluster.GridConfig(16),
 			cluster.GridConfig(24),
 		} {
-			ccfg.MaxExpansions = parCap(cfg)
+			ccfg.BB.MaxNodes = parCap(cfg)
 			res, err := cluster.Simulate(m, ccfg)
 			if err != nil {
 				return nil, err

@@ -92,112 +92,36 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	res.OpenLB = math.Inf(1)
 	start := time.Now()
 	probe := opt.Probe
-	if probe != nil {
-		probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.N()})
-		bb.EmitSearchConfig(probe, p.N(), opt.Options)
-	}
-
+	seed := p.Start(opt.Options, start)
 	inc := newIncumbent(opt.CollectAll)
 	inc.probe, inc.start = probe, start
-	ubTree, ubCost := p.InitialUpperBound()
-	ub := ubCost
-	if opt.NoInitialUB {
-		// Honor the ablation flag exactly like the sequential engine: the
-		// search starts from an infinite bound instead of the UPGMM seed.
-		ub, ubTree = math.Inf(1), nil
-	}
-	external := opt.InitialUB > 0 && opt.InitialUB < ub
-	if external {
-		// Search against the tighter externally supplied bound, keeping
-		// the UPGMM tree around as the feasible fallback incumbent.
-		ub = opt.InitialUB
-		inc.seed(ub, nil)
-	} else {
-		inc.seed(ub, ubTree)
-	}
-	if probe != nil && !math.IsInf(ub, 1) {
-		probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ub, Elapsed: time.Since(start)})
-	}
+	inc.seed(seed.UB, seed.Tree)
 
 	// Master phase: breadth-first branching until the frontier is large
-	// enough to feed every worker (Steps 1–5). The master honors the
-	// shared expansion budget and the context exactly like the workers do:
-	// a small Options.MaxNodes must cap the whole search, not just the
-	// worker phase, and both trips force Optimal=false.
-	target := opt.InitialFanout * opt.Workers
-	frontier := []*bb.PNode{p.Root()}
-	mp := p.NewPool()
+	// enough to feed every worker (Steps 1–5). The master and the workers
+	// draw from one expansion budget, so a small Options.MaxNodes caps the
+	// whole search, and the master polls the context like the workers do;
+	// both trips force Optimal=false.
+	budget := bb.NewBudget(opt.MaxNodes)
 	var masterStats bb.Stats
+	master := &bb.Step{P: p, Opt: opt.Options, Pool: p.NewPool(), Budget: budget, Stats: &masterStats}
+	root := p.Root()
 	masterStats.Roots++
 	sampling := probe != nil && opt.GapPeriod > 0
 	if sampling {
 		// Initial convergence snapshot: one root open, nothing expanded.
 		probe.Emit(obs.Event{Kind: obs.GapSample, Worker: obs.MasterWorker,
-			Value: ub, BestLB: frontier[0].LB, Gap: obs.GapRatio(ub, frontier[0].LB),
+			Value: seed.UB, BestLB: root.LB, Gap: obs.GapRatio(seed.UB, root.LB),
 			Frontier: 1, Elapsed: time.Since(start)})
 	}
-	truncated := false
-	for len(frontier) > 0 && len(frontier) < target {
-		if opt.MaxNodes > 0 && masterStats.Expanded >= opt.MaxNodes {
-			truncated = true
-			break
-		}
-		if opt.Ctx != nil {
-			select {
-			case <-opt.Ctx.Done():
-				truncated = true
-			default:
-			}
-			if truncated {
-				break
-			}
-		}
-		// Expand the shallowest node first so the frontier stays level.
-		v := frontier[0]
-		frontier = frontier[1:]
-		if v.Complete(p) {
-			masterStats.Completed++
-			inc.offer(p, v, opt.CollectAll, &masterStats, obs.MasterWorker)
-			mp.Put(v)
-			continue
-		}
-		if opt.Propagate {
-			b := inc.bound()
-			if plb := p.PropagatedLB(v, mp); plb > b || (!opt.CollectAll && plb == b) {
-				masterStats.CountUltrametricPrune(1)
-				mp.Put(v)
-				continue
-			}
-		}
-		masterStats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, inc.bound(), opt.CollectAll, mp)
-		masterStats.CountExpand(len(children), pruned)
-		mp.Put(v)
-		for _, ch := range children {
-			if b := inc.bound(); ch.LB > b || (!opt.CollectAll && ch.LB == b) {
-				// A sibling's complete topology tightened the incumbent
-				// after Expand's bound check.
-				masterStats.CountIncumbentPrune(1)
-				mp.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
-				masterStats.Completed++
-				inc.offer(p, ch, opt.CollectAll, &masterStats, obs.MasterWorker)
-				mp.Put(ch)
-				continue
-			}
-			frontier = append(frontier, ch)
-		}
-	}
-	if truncated {
+	frontier, ok := master.Split(root, opt.InitialFanout*opt.Workers, seed.UB, func(v *bb.PNode) float64 {
+		inc.offer(p, v, opt.CollectAll, &masterStats, obs.MasterWorker)
+		return inc.bound()
+	})
+	if !ok {
 		res.Optimal = false
 	}
 	res.MasterNodes = len(frontier)
-	// The frontier accumulates Expand's already-ordered child runs, so the
-	// shared insertion sort finishes in near-linear time here.
-	bb.SortByLB(frontier)
 
 	// Step 6: cyclic dispatch; a 1/(workers+1) share stays in the global
 	// ring (the paper's master "preserves 1/p nodes in GP"), the rest is
@@ -219,21 +143,6 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		sched.markDone()
 	}
 
-	// Step 7: workers. The expansion budget (Options.MaxNodes) is shared:
-	// workers take one unit per expansion from one atomic counter and stop
-	// expanding when it runs out, exactly like a cooperative cancellation.
-	var budget *atomic.Int64
-	if opt.MaxNodes > 0 {
-		budget = &atomic.Int64{}
-		// The master already consumed part of the budget; never seed the
-		// workers with a negative remainder (a truncated master phase leaves
-		// exactly zero, which makes every worker drain without expanding).
-		remaining := opt.MaxNodes - masterStats.Expanded
-		if remaining < 0 {
-			remaining = 0
-		}
-		budget.Store(remaining)
-	}
 	// Gap sampler: a goroutine reading the workers' published telemetry
 	// slots at GapPeriod. Started only when sampling is on, stopped (and
 	// joined) before any terminal event so ProblemFinish stays last. The
@@ -275,11 +184,16 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	var wg sync.WaitGroup
 	cancelled := make([]bool, opt.Workers)
 	openMins := make([]float64, opt.Workers)
+	// Workers bump their counters on every expansion, and neighbouring
+	// elements of res.WorkerStats share cache lines, so each worker counts
+	// into a padded slot of its own and copies it out when done.
+	counters := make([]workerStats, opt.Workers)
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cancelled[w], openMins[w] = runWorker(p, opt, sched, inc, locals[w], &res.WorkerStats[w], budget, w, start)
+			cancelled[w], openMins[w] = runWorker(p, opt, sched, inc, locals[w], &counters[w].Stats, budget, w, start)
+			res.WorkerStats[w] = counters[w].Stats
 		}(w)
 	}
 	wg.Wait()
@@ -308,16 +222,10 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		Donates:    sched.donates.Load(),
 		Dispatches: int64(res.MasterNodes),
 	}
-	res.Cost = inc.bound()
-	res.Tree = inc.tree
+	res.Tree, res.Cost = seed.Final(inc.tree, inc.bound())
 	res.Trees = inc.trees
 	res.Stats.Solutions = inc.solutions
 	res.Stats.UBUpdates = inc.updates
-	if res.Tree == nil && ubTree != nil {
-		// Nothing beat the external bound: report the feasible UPGMM
-		// incumbent with ITS cost so Tree and Cost agree (see bb.Result).
-		res.Tree, res.Cost = ubTree, ubCost
-	}
 	if probe != nil {
 		// Flush the master's prune attribution (workers flushed their own
 		// in runWorker) and the terminal gap snapshot before
@@ -332,6 +240,13 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 			Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
 	}
 	return res
+}
+
+// workerStats is one worker's counters, padded so that no two workers'
+// counters share a cache line.
+type workerStats struct {
+	bb.Stats
+	_ [64]byte
 }
 
 // runWorker is the paper's Step 7 loop for one computing node, rebuilt on
@@ -357,6 +272,7 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 		}()
 	}
 	np := p.NewPool()
+	st := &bb.Step{P: p, Opt: opt.Options, Pool: np, Budget: budget, Stats: stats}
 	d := &s.deques[id]
 	// Seed the deque with the master's dispatch. The list arrives sorted
 	// by ascending LB; pushing worst-first leaves the most promising node
@@ -388,12 +304,8 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 		}
 		// Poll the context every 64 nodes, including the very first one, so
 		// a pre-cancelled context stops the worker before any expansion.
-		if !cancelled && opt.Ctx != nil && iter&63 == 0 {
-			select {
-			case <-opt.Ctx.Done():
-				cancelled = true
-			default:
-			}
+		if !cancelled && opt.Ctx != nil && iter&63 == 0 && opt.Ctx.Err() != nil {
+			cancelled = true
 		}
 		iter++
 		if e := inc.boundEpoch(); e != epoch {
@@ -403,6 +315,14 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 			epoch = e
 			ub = inc.bound()
 			scratch = s.repruneLocal(id, d, ub, opt.CollectAll, np, stats, scratch)
+		}
+		var children []*bb.PNode
+		if !cancelled {
+			if held := int(d.size()) + 1; held > stats.MaxPoolLen {
+				stats.MaxPoolLen = held
+			}
+			children, ok = st.Run(v, ub)
+			cancelled = !ok
 		}
 		if cancelled {
 			// Drain without expanding so termination detection still
@@ -417,78 +337,20 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 			np.Put(v)
 			continue
 		}
-		if held := int(d.size()) + 1; held > stats.MaxPoolLen {
-			stats.MaxPoolLen = held
-		}
-		if v.LB > ub || (!opt.CollectAll && v.LB == ub) {
-			// The node was viable when it entered a deque; the incumbent
-			// improved in the meantime.
-			stats.CountIncumbentPrune(1)
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		if v.Complete(p) {
-			stats.Completed++
-			inc.offer(p, v, opt.CollectAll, stats, id)
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		if opt.Propagate {
-			// Propagation prune BEFORE the budget draw: a node the bound
-			// kills costs no share of the expansion budget.
-			if plb := p.PropagatedLB(v, np); plb > ub || (!opt.CollectAll && plb == ub) {
-				stats.CountUltrametricPrune(1)
-				s.finish(1)
-				np.Put(v)
-				continue
-			}
-		}
-		if budget != nil && budget.Add(-1) < 0 {
-			cancelled = true
-			stats.CountBudgetPrune(1)
-			if v.LB < openMin {
-				openMin = v.LB
-			}
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		stats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, ub, opt.CollectAll, np)
-		stats.CountExpand(len(children), pruned)
-		np.Put(v)
-		// Children arrive sorted by ascending LB, so the prune predicate
-		// cuts a suffix; completeness is uniform across the layer (every
-		// child holds K+1 species).
-		cut := len(children)
-		for cut > 0 {
-			lb := children[cut-1].LB
-			if lb > ub || (!opt.CollectAll && lb == ub) {
-				stats.CountIncumbentPrune(1)
-				np.Put(children[cut-1])
-				cut--
-				continue
-			}
-			break
-		}
-		if cut > 0 && children[0].Complete(p) {
-			for _, ch := range children[:cut] {
+		if n := len(children); n > 0 && children[0].Complete(p) {
+			for _, ch := range children {
 				stats.Completed++
 				inc.offer(p, ch, opt.CollectAll, stats, id)
 				np.Put(ch)
 			}
-			cut = 0
-		}
-		if cut > 0 {
+		} else if n > 0 {
 			// Count the children in-flight BEFORE they become stealable,
 			// then push worst-first so the best child is popped next.
-			s.addInFlight(cut)
-			for i := cut - 1; i >= 0; i-- {
+			s.addInFlight(n)
+			for i := n - 1; i >= 0; i-- {
 				s.pushLocal(id, d, children[i])
 			}
-			s.unpark(cut)
+			s.unpark(n)
 		}
 		s.finish(1)
 	}
@@ -509,7 +371,7 @@ func (s *scheduler) repruneLocal(id int, d *deque, ub float64, collectAll bool,
 		if v == nil {
 			break
 		}
-		if v.LB > ub || (!collectAll && v.LB == ub) {
+		if bb.Prunes(v.LB, ub, collectAll) {
 			// Deque residents that died to another worker's improvement:
 			// incumbent discards by definition.
 			stats.CountIncumbentPrune(1)
