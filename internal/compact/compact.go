@@ -7,18 +7,19 @@
 // A set C ⊆ V is compact when the largest distance inside C is smaller
 // than every distance leaving C (Lemma 2). Compact sets are found by
 // Kruskal's algorithm: process minimum-spanning-tree edges in ascending
-// order, merge the endpoint components, and test the compactness predicate
-// after each merge (the paper's Algorithm "Compact Sets"). Any two compact
-// sets are nested or disjoint (Lemma 3), so the family forms a laminar
-// hierarchy; Lemma 1 guarantees each compact set appears as a clade of any
-// relation-faithful tree, which is why the decomposition preserves the
-// phylogeny.
+// order, merge the endpoint components, and test each merged component
+// against the compactness predicate (the paper's Algorithm "Compact
+// Sets"). Any two compact sets are nested or disjoint (Lemma 3), so the
+// family forms a laminar hierarchy; Lemma 1 guarantees each compact set
+// appears as a clade of any relation-faithful tree, which is why the
+// decomposition preserves the phylogeny.
 package compact
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"evotree/internal/graph"
@@ -31,6 +32,13 @@ type Set []int
 // Find returns every non-trivial compact set of m (size ≥ 2 and < n), in
 // Kruskal discovery order. The full vertex set and singletons — compact by
 // convention — are omitted, matching the paper's listing.
+//
+// Each MST edge but the last forms one candidate component A. A is tested
+// when it is next merged: by the cut property the lightest edge leaving A
+// is the MST edge that next merges it, so that edge's weight is
+// Min(A, V∖A). Max(A) grows by the cross pairs of each merge, which visits
+// every pair once, so Find takes O(n²) time and O(n) extra memory besides
+// the sets it returns.
 func Find(m *matrix.Matrix) ([]Set, error) {
 	n := m.Len()
 	if n == 0 {
@@ -41,44 +49,69 @@ func Find(m *matrix.Matrix) ([]Set, error) {
 		return nil, err
 	}
 	uf := graph.NewUnionFind(n)
-	// members[root] lists the component's vertices; maxIn[root] its largest
-	// internal distance. Both are maintained across unions.
-	members := make(map[int][]int, n)
-	maxIn := make(map[int]float64, n)
-	for v := 0; v < n; v++ {
+	// Per root: the component's sorted members, its largest internal
+	// distance, and the index of the MST edge that formed it (-1 for a
+	// singleton, which is no candidate).
+	members := make([][]int, n)
+	maxIn := make([]float64, n)
+	formed := make([]int, n)
+	for v := range members {
 		members[v] = []int{v}
+		formed[v] = -1
 	}
-	var sets []Set
-	// The paper's loop runs over the first n−2 MST edges: the last merge
-	// produces V itself, which is not reported.
-	for i := 0; i < len(mst)-1; i++ {
-		e := mst[i]
+	// found[i] is the set mst[i] formed, if it proved compact. The last
+	// edge forms V itself, which is not reported.
+	found := make([]Set, max(n-2, 0))
+	for i, e := range mst {
 		ra, rb := uf.Find(e.U), uf.Find(e.V)
-		ma, mb := members[ra], members[rb]
+		for _, r := range [2]int{ra, rb} {
+			if formed[r] >= 0 && maxIn[r] < e.Weight {
+				found[formed[r]] = Set(slices.Clone(members[r]))
+			}
+		}
 		cross := 0.0
-		for _, a := range ma {
-			for _, b := range mb {
+		for _, a := range members[ra] {
+			for _, b := range members[rb] {
 				if d := m.At(a, b); d > cross {
 					cross = d
 				}
 			}
 		}
 		newMax := math.Max(cross, math.Max(maxIn[ra], maxIn[rb]))
-		uf.Union(e.U, e.V)
-		r := uf.Find(e.U)
-		merged := append(append(make([]int, 0, len(ma)+len(mb)), ma...), mb...)
-		sort.Ints(merged)
-		delete(members, ra)
-		delete(members, rb)
-		delete(maxIn, ra)
-		delete(maxIn, rb)
-		members[r] = merged
-		maxIn[r] = newMax
-		if newMax < minCut(m, merged) {
-			sets = append(sets, Set(append([]int(nil), merged...)))
+		merged := mergeSorted(members[ra], members[rb])
+		members[ra], members[rb] = nil, nil // only the new root's list stays live
+		uf.Union(ra, rb)
+		r := uf.Find(ra)
+		members[r], maxIn[r], formed[r] = merged, newMax, i
+	}
+	sets := found[:0]
+	for _, s := range found {
+		if s != nil {
+			sets = append(sets, s)
 		}
 	}
+	if len(sets) == 0 {
+		return nil, nil
+	}
 	return sets, nil
+}
+
+// mergeSorted merges two sorted, disjoint member lists into the larger
+// one's backing array, from the back, in O(len(a)+len(b)).
+func mergeSorted(a, b []int) []int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > b[j] {
+			a[k], i = a[i], i-1
+		} else {
+			a[k], j = b[j], j-1
+		}
+	}
+	return a
 }
 
 // minCut returns the smallest distance between a vertex in set and one
@@ -256,59 +289,37 @@ func BuildHierarchy(m *matrix.Matrix) (*Hierarchy, []Set, error) {
 		all[i] = i
 	}
 	root := &Hierarchy{Members: all, Compact: false}
-	// Insert sets from largest to smallest: each set becomes a child of the
-	// smallest group strictly containing it.
-	ordered := append([]Set(nil), sets...)
-	sort.SliceStable(ordered, func(i, j int) bool { return len(ordered[i]) > len(ordered[j]) })
+	if n == 1 {
+		return root, sets, nil // a lone species is a leaf
+	}
+	// Place sets from largest to smallest. owner[v] is the smallest group
+	// placed so far that contains species v; by laminarity every member of
+	// the next set has the same owner, and that owner is the set's parent.
+	owner := make([]*Hierarchy, n)
+	for v := range owner {
+		owner[v] = root
+	}
+	ordered := slices.Clone(sets)
+	slices.SortFunc(ordered, func(a, b Set) int { return cmp.Compare(len(b), len(a)) })
+	groups := make([]*Hierarchy, 0, len(sets)+1)
+	groups = append(groups, root)
 	for _, s := range ordered {
-		node := &Hierarchy{Members: append([]int(nil), s...), Compact: true}
-		attach(root, node)
+		node := &Hierarchy{Members: slices.Clone(s), Compact: true}
+		parent := owner[s[0]]
+		parent.Children = append(parent.Children, node)
+		for _, v := range s {
+			owner[v] = node
+		}
+		groups = append(groups, node)
 	}
-	fillSingletons(root)
+	// Each species no set child covers becomes a leaf of its owner.
+	for v, o := range owner {
+		o.Children = append(o.Children, &Hierarchy{Members: []int{v}, Compact: true})
+	}
+	for _, g := range groups {
+		slices.SortFunc(g.Children, func(a, b *Hierarchy) int {
+			return cmp.Compare(a.Members[0], b.Members[0])
+		})
+	}
 	return root, sets, nil
-}
-
-// attach descends from parent to the smallest group containing node and
-// adds node as its child, adopting any existing children that node covers.
-func attach(parent, node *Hierarchy) {
-	for _, ch := range parent.Children {
-		if _, nodeInCh, _ := relate(node.Members, ch.Members); nodeInCh && !ch.IsLeaf() {
-			attach(ch, node)
-			return
-		}
-	}
-	// node belongs directly under parent; move covered children below it.
-	kept := parent.Children[:0]
-	for _, ch := range parent.Children {
-		if _, chInNode, _ := relate(ch.Members, node.Members); chInNode {
-			node.Children = append(node.Children, ch)
-		} else {
-			kept = append(kept, ch)
-		}
-	}
-	parent.Children = append(kept, node)
-}
-
-// fillSingletons adds a leaf child for every species of each internal node
-// not covered by its set children, so children always partition Members.
-func fillSingletons(h *Hierarchy) {
-	if len(h.Members) == 1 {
-		h.Children = nil
-		return
-	}
-	covered := make(map[int]bool)
-	for _, ch := range h.Children {
-		for _, v := range ch.Members {
-			covered[v] = true
-		}
-		fillSingletons(ch)
-	}
-	for _, v := range h.Members {
-		if !covered[v] {
-			h.Children = append(h.Children, &Hierarchy{Members: []int{v}, Compact: true})
-		}
-	}
-	sort.SliceStable(h.Children, func(i, j int) bool {
-		return h.Children[i].Members[0] < h.Children[j].Members[0]
-	})
 }

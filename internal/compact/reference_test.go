@@ -1,0 +1,201 @@
+package compact
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"evotree/internal/graph"
+	"evotree/internal/matrix"
+	"evotree/internal/seqsim"
+)
+
+// referenceFind is the direct transcription of the paper's loop: merge
+// along the MST edges in Kruskal order and test each new component at once,
+// rescanning its cut for Min(A, V∖A).
+func referenceFind(m *matrix.Matrix) []Set {
+	n := m.Len()
+	mst, err := graph.MST(m)
+	if err != nil {
+		panic(err)
+	}
+	uf := graph.NewUnionFind(n)
+	members := make(map[int][]int, n)
+	maxIn := make(map[int]float64, n)
+	for v := 0; v < n; v++ {
+		members[v] = []int{v}
+	}
+	var sets []Set
+	for i := 0; i < len(mst)-1; i++ {
+		e := mst[i]
+		ra, rb := uf.Find(e.U), uf.Find(e.V)
+		ma, mb := members[ra], members[rb]
+		cross := 0.0
+		for _, a := range ma {
+			for _, b := range mb {
+				if d := m.At(a, b); d > cross {
+					cross = d
+				}
+			}
+		}
+		newMax := math.Max(cross, math.Max(maxIn[ra], maxIn[rb]))
+		uf.Union(e.U, e.V)
+		r := uf.Find(e.U)
+		merged := append(append(make([]int, 0, len(ma)+len(mb)), ma...), mb...)
+		sort.Ints(merged)
+		delete(members, ra)
+		delete(members, rb)
+		members[r] = merged
+		maxIn[r] = newMax
+		if newMax < minCut(m, merged) {
+			sets = append(sets, Set(append([]int(nil), merged...)))
+		}
+	}
+	return sets
+}
+
+// referenceHierarchy arranges sets by descending into the tree from the
+// root for every set and then filling in singletons.
+func referenceHierarchy(n int, sets []Set) *Hierarchy {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	root := &Hierarchy{Members: all}
+	ordered := append([]Set(nil), sets...)
+	sort.SliceStable(ordered, func(i, j int) bool { return len(ordered[i]) > len(ordered[j]) })
+	for _, s := range ordered {
+		referenceAttach(root, &Hierarchy{Members: append([]int(nil), s...), Compact: true})
+	}
+	referenceFill(root)
+	return root
+}
+
+// referenceAttach adds node under the smallest group of parent's subtree
+// containing it, adopting the children node covers.
+func referenceAttach(parent, node *Hierarchy) {
+	for _, ch := range parent.Children {
+		if _, nodeInCh, _ := relate(node.Members, ch.Members); nodeInCh && !ch.IsLeaf() {
+			referenceAttach(ch, node)
+			return
+		}
+	}
+	kept := parent.Children[:0]
+	for _, ch := range parent.Children {
+		if _, chInNode, _ := relate(ch.Members, node.Members); chInNode {
+			node.Children = append(node.Children, ch)
+		} else {
+			kept = append(kept, ch)
+		}
+	}
+	parent.Children = append(kept, node)
+}
+
+// referenceFill adds a leaf for every species no child covers and orders
+// children by first member.
+func referenceFill(h *Hierarchy) {
+	if len(h.Members) == 1 {
+		h.Children = nil
+		return
+	}
+	covered := make(map[int]bool)
+	for _, ch := range h.Children {
+		for _, v := range ch.Members {
+			covered[v] = true
+		}
+		referenceFill(ch)
+	}
+	for _, v := range h.Members {
+		if !covered[v] {
+			h.Children = append(h.Children, &Hierarchy{Members: []int{v}, Compact: true})
+		}
+	}
+	sort.SliceStable(h.Children, func(i, j int) bool {
+		return h.Children[i].Members[0] < h.Children[j].Members[0]
+	})
+}
+
+// seqsimMatrix is an mtDNA-like Hamming matrix over n species, as the
+// decomposition benchmark draws them: integer distances in a narrow range,
+// so ties are everywhere.
+func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
+	t.Helper()
+	ds, err := seqsim.Generate(rand.New(rand.NewSource(seed)), seqsim.Params{Species: n, SeqLen: 150, Rate: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Matrix
+}
+
+// matchesReference reports whether Find returns the reference's sets in
+// the reference's order and BuildHierarchy the reference's tree, Compact
+// flags included.
+func matchesReference(t *testing.T, m *matrix.Matrix) bool {
+	t.Helper()
+	want := referenceFind(m)
+	sets, err := Find(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sets, want) {
+		t.Errorf("n=%d: Find = %v, reference %v", m.Len(), sets, want)
+		return false
+	}
+	h, hsets, err := BuildHierarchy(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceHierarchy(m.Len(), want)
+	if !reflect.DeepEqual(hsets, want) || !reflect.DeepEqual(h, ref) {
+		t.Errorf("n=%d: BuildHierarchy = %s, reference %s", m.Len(), h, ref)
+		return false
+	}
+	return true
+}
+
+func TestFindMatchesReference(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		var m *matrix.Matrix
+		switch seed % 3 {
+		case 0:
+			m = matrix.RandomMetric(rng, n, 50, 100)
+		case 1:
+			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
+		default:
+			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+		}
+		return matchesReference(t, m)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFindMatchesReferenceOnSeqsim(t *testing.T) {
+	for _, n := range []int{400, 600} {
+		matchesReference(t, seqsimMatrix(t, int64(n), n))
+	}
+}
+
+// TestBuildHierarchyAlloc bounds the bytes BuildHierarchy allocates at
+// n=600, detection included: O(n) scratch plus the sets and the tree.
+func TestBuildHierarchyAlloc(t *testing.T) {
+	m := seqsimMatrix(t, 1, 600)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err := BuildHierarchy(m)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("BuildHierarchy allocated %d bytes at n=600, want < %d", got, 1<<20)
+	}
+}

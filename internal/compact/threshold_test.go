@@ -41,15 +41,17 @@ func TestThresholdAgreesWithKruskalProperty(t *testing.T) {
 	// family on any matrix, including ones with many ties.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
+		n := 2 + rng.Intn(39)
 		var m *matrix.Matrix
-		switch seed % 3 {
+		switch seed % 4 {
 		case 0:
 			m = matrix.RandomMetric(rng, n, 50, 100)
 		case 1:
 			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
-		default:
+		case 2:
 			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+		default:
+			m = seqsimMatrix(t, seed, n) // Hamming distances: tie-heavy
 		}
 		a, err := Find(m)
 		if err != nil {

@@ -1,6 +1,7 @@
 // Package graph provides the complete weighted graph view of a distance
-// matrix, a union–find structure, and Kruskal's minimum spanning tree —
-// the machinery the compact-set algorithm of the paper is built on.
+// matrix, a union–find structure, and the minimum spanning tree in
+// Kruskal's acceptance order — the machinery the compact-set algorithm of
+// the paper is built on.
 package graph
 
 import (
@@ -14,39 +15,28 @@ type Edge struct {
 	Weight float64
 }
 
-// Weights is the read-only distance view a complete graph is induced from.
-// *matrix.Matrix satisfies it.
+// Weights is the read-only, symmetric distance view a complete graph is
+// induced from. *matrix.Matrix satisfies it.
 type Weights interface {
 	Len() int
 	At(i, j int) float64
 }
 
-// CompleteEdges returns every unordered pair of vertices of w as an edge,
-// sorted ascending by weight (ties broken by (U, V) for determinism).
-func CompleteEdges(w Weights) []Edge {
-	n := w.Len()
-	edges := make([]Edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, Edge{U: i, V: j, Weight: w.At(i, j)})
-		}
+// edgeLess is the strict total order on edges: ascending by weight, ties
+// broken by (U, V).
+func edgeLess(a, b Edge) bool {
+	if a.Weight != b.Weight {
+		return a.Weight < b.Weight
 	}
-	SortEdges(edges)
-	return edges
+	if a.U != b.U {
+		return a.U < b.U
+	}
+	return a.V < b.V
 }
 
 // SortEdges orders edges ascending by weight, breaking ties by endpoints.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(a, b int) bool {
-		ea, eb := edges[a], edges[b]
-		if ea.Weight != eb.Weight {
-			return ea.Weight < eb.Weight
-		}
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
-	})
+	sort.Slice(edges, func(a, b int) bool { return edgeLess(edges[a], edges[b]) })
 }
 
 // UnionFind is a disjoint-set forest with union by rank and path
@@ -107,25 +97,49 @@ func (u *UnionFind) Size(x int) int { return u.size[u.Find(x)] }
 // Sets returns the current number of disjoint sets.
 func (u *UnionFind) Sets() int { return u.sets }
 
-// MST computes a minimum spanning tree of the complete graph induced by w
-// using Kruskal's algorithm. The returned edges are in the ascending order
-// in which Kruskal accepted them — exactly the order Step 2 of the paper's
+// MST computes the minimum spanning tree of the complete graph induced by
+// w and returns its edges in the ascending order in which Kruskal's
+// algorithm accepts them — exactly the order Step 2 of the paper's
 // compact-set algorithm requires. An error is returned for n < 1.
+//
+// Edges are compared by the strict total order of SortEdges, under which
+// the MST is unique, so a dense Prim finds the very tree Kruskal would and
+// sorting its n−1 edges gives Kruskal's order. That is O(n²) time and O(n)
+// extra memory, where Kruskal over all pairs needs O(n² log n) time and an
+// n(n−1)/2 edge list.
 func MST(w Weights) ([]Edge, error) {
 	n := w.Len()
 	if n < 1 {
 		return nil, fmt.Errorf("graph: MST of empty vertex set")
 	}
-	uf := NewUnionFind(n)
+	// rest lists the vertices not yet in the tree, and best[v] is the
+	// least edge joining v to it.
+	rest := make([]int, n-1)
+	best := make([]Edge, n)
+	for i := range rest {
+		rest[i] = i + 1
+		best[i+1] = Edge{U: 0, V: i + 1, Weight: w.At(0, i+1)}
+	}
 	out := make([]Edge, 0, n-1)
-	for _, e := range CompleteEdges(w) {
-		if uf.Union(e.U, e.V) {
-			out = append(out, e)
-			if len(out) == n-1 {
-				break
+	for len(rest) > 0 {
+		k, next := 0, best[rest[0]]
+		for i, v := range rest {
+			if edgeLess(best[v], next) {
+				k, next = i, best[v]
+			}
+		}
+		t := rest[k]
+		out = append(out, next)
+		rest[k] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
+		for _, v := range rest {
+			e := Edge{U: min(t, v), V: max(t, v), Weight: w.At(t, v)}
+			if edgeLess(e, best[v]) {
+				best[v] = e
 			}
 		}
 	}
+	SortEdges(out)
 	return out, nil
 }
 

@@ -1,12 +1,14 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"evotree/internal/matrix"
+	"evotree/internal/seqsim"
 )
 
 func TestUnionFind(t *testing.T) {
@@ -36,6 +38,37 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
+// completeEdges returns every unordered pair of vertices of w as an edge,
+// sorted by SortEdges: the input of the reference Kruskal.
+func completeEdges(w Weights) []Edge {
+	n := w.Len()
+	edges := make([]Edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, Edge{U: i, V: j, Weight: w.At(i, j)})
+		}
+	}
+	SortEdges(edges)
+	return edges
+}
+
+// kruskal is the reference MST: Kruskal's algorithm over all pairs, with
+// the edges in the order it accepts them.
+func kruskal(w Weights) []Edge {
+	n := w.Len()
+	uf := NewUnionFind(n)
+	out := make([]Edge, 0, n-1)
+	for _, e := range completeEdges(w) {
+		if uf.Union(e.U, e.V) {
+			out = append(out, e)
+			if len(out) == n-1 {
+				break
+			}
+		}
+	}
+	return out
+}
+
 func TestCompleteEdgesSorted(t *testing.T) {
 	m := matrix.New(4)
 	m.Set(0, 1, 5)
@@ -44,7 +77,7 @@ func TestCompleteEdgesSorted(t *testing.T) {
 	m.Set(1, 2, 3)
 	m.Set(1, 3, 2)
 	m.Set(2, 3, 4)
-	edges := CompleteEdges(m)
+	edges := completeEdges(m)
 	if len(edges) != 6 {
 		t.Fatalf("%d edges", len(edges))
 	}
@@ -60,58 +93,30 @@ func TestCompleteEdgesSorted(t *testing.T) {
 }
 
 func TestMSTAgainstBruteForce(t *testing.T) {
-	// For random small graphs, Kruskal's total weight equals the optimum
-	// found by enumerating all spanning trees (via Prim as a second
-	// implementation, which suffices as an independent check).
+	// On distinct, heavily tied and perturbed-ultrametric weights, MST
+	// returns exactly the edges Kruskal over all pairs accepts, in the
+	// same order.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(8)
-		m := matrix.RandomMetric(rng, n, 1, 100)
+		n := 1 + rng.Intn(40)
+		var m *matrix.Matrix
+		switch seed % 3 {
+		case 0:
+			m = matrix.RandomMetric(rng, n, 1, 100)
+		case 1:
+			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
+		default:
+			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+		}
 		mst, err := MST(m)
 		if err != nil || len(mst) != n-1 {
 			return false
 		}
-		// Connectivity check.
-		uf := NewUnionFind(n)
-		for _, e := range mst {
-			uf.Union(e.U, e.V)
-		}
-		if uf.Sets() != 1 {
-			return false
-		}
-		return math.Abs(TotalWeight(mst)-primWeight(m)) < 1e-9
+		return reflect.DeepEqual(mst, kruskal(m))
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// primWeight computes the MST weight with Prim's algorithm.
-func primWeight(m *matrix.Matrix) float64 {
-	n := m.Len()
-	inTree := make([]bool, n)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[0] = 0
-	total := 0.0
-	for it := 0; it < n; it++ {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && (best == -1 || dist[v] < dist[best]) {
-				best = v
-			}
-		}
-		inTree[best] = true
-		total += dist[best]
-		for v := 0; v < n; v++ {
-			if !inTree[v] && m.At(best, v) < dist[v] {
-				dist[v] = m.At(best, v)
-			}
-		}
-	}
-	return total
 }
 
 func TestMSTEmpty(t *testing.T) {
@@ -135,5 +140,46 @@ func TestMSTKruskalOrderAscending(t *testing.T) {
 		if mst[i].Weight < mst[i-1].Weight {
 			t.Fatal("Kruskal acceptance order must be ascending")
 		}
+	}
+}
+
+// seqsimMatrix is an mtDNA-like Hamming matrix over n species: integer
+// distances in a narrow range, so ties are everywhere.
+func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
+	t.Helper()
+	ds, err := seqsim.Generate(rand.New(rand.NewSource(seed)), seqsim.Params{Species: n, SeqLen: 150, Rate: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Matrix
+}
+
+func TestMSTMatchesKruskalOnSeqsim(t *testing.T) {
+	for _, n := range []int{400, 600} {
+		m := seqsimMatrix(t, int64(n), n)
+		mst, err := MST(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mst, kruskal(m)) {
+			t.Fatalf("n=%d: MST differs from Kruskal over all pairs", n)
+		}
+	}
+}
+
+// TestMSTAlloc bounds the bytes MST allocates at n=600: the tree and O(n)
+// scratch, never the n(n−1)/2 edge list (4.3 MB at this size).
+func TestMSTAlloc(t *testing.T) {
+	m := seqsimMatrix(t, 1, 600)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := MST(m)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("MST allocated %d bytes at n=600, want < %d", got, 64<<10)
 	}
 }

@@ -37,8 +37,15 @@ type Engine struct {
 // engineByName builds the registry lazily so each entry captures its own
 // configuration.
 func engineByName(name string) (Engine, error) {
+	// bestfirsts, wholes and compacts are bestfirst, whole and compact
+	// under the strong rule set, like bbrules and pbbs<N>.
+	base := bb.DefaultOptions
+	switch name {
+	case "bestfirsts", "wholes", "compacts":
+		base = bb.StrongOptions
+	}
 	bbOpt := func(maxNodes int64, threeThree bool) bb.Options {
-		o := bb.DefaultOptions()
+		o := base()
 		o.MaxNodes = maxNodes
 		o.ThreeThree = threeThree
 		return o
@@ -62,7 +69,7 @@ func engineByName(name string) (Engine, error) {
 			}
 			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
 		}}, nil
-	case "bestfirst":
+	case "bestfirst", "bestfirsts":
 		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
 			p, err := bb.NewProblem(m, true)
 			if err != nil {
@@ -73,7 +80,7 @@ func engineByName(name string) (Engine, error) {
 			res := p.SolveBestFirst(opt)
 			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
 		}}, nil
-	case "whole":
+	case "whole", "wholes":
 		// The core pipeline with decomposition disabled — the paper's
 		// control condition; exact like the parallel engine it wraps.
 		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
@@ -84,7 +91,7 @@ func engineByName(name string) (Engine, error) {
 			}
 			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
 		}}, nil
-	case "compact", "compact33":
+	case "compact", "compact33", "compacts":
 		tt := name == "compact33"
 		return Engine{Name: name, Decomposition: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
 			opt := core.Options{
@@ -105,8 +112,8 @@ func engineByName(name string) (Engine, error) {
 	// real loopback HTTP transport: an exact engine, so the differential
 	// harness proves lease dispatch, bound broadcast, and result folding
 	// preserve the optimum. distc<N> is its decompose-mode sibling (the
-	// compact-set path, checked like "compact"), and dists<N> the farm
-	// under the strong rule set, like pbbs<N>.
+	// compact-set path, checked like "compact"), and dists<N> and
+	// distcs<N> the two under the strong rule set, like pbbs<N>.
 	if w, ok := parseWorkers(name, "dist"); ok {
 		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.DefaultOptions())}, nil
 	}
@@ -115,6 +122,9 @@ func engineByName(name string) (Engine, error) {
 	}
 	if w, ok := parseWorkers(name, "dists"); ok {
 		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.StrongOptions())}, nil
+	}
+	if w, ok := parseWorkers(name, "distcs"); ok {
+		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true, bb.StrongOptions())}, nil
 	}
 	// pbbs<N> is the parallel engine with the strong rule set (propagation
 	// bound + dominance), so the differential harness proves the rules
@@ -187,20 +197,22 @@ func PBBEngineName(workers int) string {
 
 // EngineNames lists the standard engine names, sorted. Any "pbb<N>"
 // (in-process parallel), "pbbs<N>" (parallel + strong rules), "dist<N>"
-// (loopback HTTP farm, exact), "dists<N>" (farm + strong rules) or
-// "distc<N>" (farm + compact-set decomposition) with N ≥ 1 is
-// additionally accepted by ParseEngines for concurrency sweeps.
+// (loopback HTTP farm, exact), "dists<N>" (farm + strong rules),
+// "distc<N>" (farm + compact-set decomposition) or "distcs<N>" (farm +
+// decomposition + strong rules) with N ≥ 1 is additionally accepted by
+// ParseEngines for concurrency sweeps.
 func EngineNames() []string {
-	names := []string{"bb", "bb33", "bbprop", "bbdom", "bbrules", "bestfirst",
-		"pbb1", "pbb4", "pbb8", "pbbs4", "whole", "compact", "compact33"}
+	names := []string{"bb", "bb33", "bbprop", "bbdom", "bbrules", "bestfirst", "bestfirsts",
+		"pbb1", "pbb4", "pbb8", "pbbs4", "whole", "wholes", "compact", "compact33", "compacts"}
 	sort.Strings(names)
 	return names
 }
 
 // DefaultEngineSpec is the engine list the harness and CI run: every
 // engine, exact and heuristic, including the rule-ablation engines that
-// pin the propagation/dominance rules to the unruled optimum.
-const DefaultEngineSpec = "bb,bb33,bbprop,bbdom,bbrules,bestfirst,pbb1,pbb4,pbb8,pbbs4,whole,compact,compact33"
+// pin the propagation/dominance rules to the unruled optimum and each
+// in-process engine under the strong rule set.
+const DefaultEngineSpec = "bb,bb33,bbprop,bbdom,bbrules,bestfirst,bestfirsts,pbb1,pbb4,pbb8,pbbs4,whole,wholes,compact,compact33,compacts"
 
 // ParseEngines resolves a comma-separated engine list ("" means the
 // default set).

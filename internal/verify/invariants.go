@@ -124,21 +124,63 @@ func CheckClades(t *tree.Tree, sets []compact.Set) []Failure {
 	return fails
 }
 
-// CheckDecomposition re-detects the compact sets of m, verifies the
-// laminar hierarchy invariants, and checks every set is a clade of t. Used
-// for engines that run the compact-set path.
+// CheckDecomposition re-detects the compact sets of m, checks the family
+// (see checkDetection) and the laminar hierarchy invariants, and checks
+// every set is a clade of t. Used for engines that run the compact-set
+// path.
 func CheckDecomposition(m *matrix.Matrix, t *tree.Tree) []Failure {
 	hier, sets, err := compact.BuildHierarchy(m)
 	if err != nil {
 		return []Failure{{Property: "compact-detect", Detail: err.Error()}}
 	}
+	fails := checkDetection(m, sets)
+	if err := compact.CheckHierarchy(m, hier); err != nil {
+		fails = append(fails, Failure{Property: "compact-hierarchy", Detail: err.Error()})
+	}
+	return append(fails, CheckClades(t, sets)...)
+}
+
+// detectionCheckMax is the largest species count at which checkDetection
+// runs the threshold detector, which is O(n⁴).
+const detectionCheckMax = 64
+
+// checkDetection checks a detected compact-set family: it must be laminar
+// and, up to detectionCheckMax species, equal as a family of sets to what
+// the independent threshold detector finds. CheckHierarchy proves each
+// flagged set compact; the comparison proves none is missing.
+func checkDetection(m *matrix.Matrix, sets []compact.Set) []Failure {
 	var fails []Failure
 	if !compact.IsLaminar(sets) {
 		fails = append(fails, Failure{Property: "compact-laminar",
 			Detail: fmt.Sprintf("compact sets %v are not laminar", sets)})
 	}
-	if err := compact.CheckHierarchy(m, hier); err != nil {
-		fails = append(fails, Failure{Property: "compact-hierarchy", Detail: err.Error()})
+	if m.Len() > detectionCheckMax {
+		return fails
 	}
-	return append(fails, CheckClades(t, sets)...)
+	want, err := compact.FindByThreshold(m)
+	if err != nil {
+		return append(fails, Failure{Property: "compact-detect", Detail: err.Error()})
+	}
+	missing, extra := setDifference(want, sets), setDifference(sets, want)
+	if len(missing) > 0 || len(extra) > 0 {
+		fails = append(fails, Failure{Property: "compact-complete", Detail: fmt.Sprintf(
+			"detected family misses %v and has extra %v against the threshold detector", missing, extra)})
+	}
+	return fails
+}
+
+// setDifference returns the sets of a that are not in b. A Set is sorted,
+// so equal sets print alike.
+func setDifference(a, b []compact.Set) []compact.Set {
+	inB := make(map[string]bool, len(b))
+	for _, s := range b {
+		inB[fmt.Sprint(s)] = true
+	}
+	var out []compact.Set
+	for _, s := range a {
+		if !inB[fmt.Sprint(s)] {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -149,6 +149,30 @@ func TestCheckDecomposition(t *testing.T) {
 	}
 }
 
+// TestCheckDetectionCompleteness: the paper example's four compact sets
+// pass, and dropping any one of them is exactly one compact-complete
+// failure.
+func TestCheckDetectionCompleteness(t *testing.T) {
+	m := loadGolden(t, "pact6.dist")
+	sets, err := compact.Find(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sets) != 4 {
+		t.Fatalf("paper example has %d compact sets, want 4", len(sets))
+	}
+	if fails := checkDetection(m, sets); len(fails) != 0 {
+		t.Fatalf("full family rejected: %v", fails)
+	}
+	for i := range sets {
+		dropped := append(append([]compact.Set(nil), sets[:i]...), sets[i+1:]...)
+		fails := checkDetection(m, dropped)
+		if len(fails) != 1 || fails[0].Property != "compact-complete" {
+			t.Errorf("family without %v: failures %v, want one compact-complete", sets[i], fails)
+		}
+	}
+}
+
 // TestCompactCheckHierarchy: BuildHierarchy output always validates, and a
 // hand-corrupted hierarchy does not.
 func TestCompactCheckHierarchy(t *testing.T) {

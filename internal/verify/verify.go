@@ -19,12 +19,14 @@
 //   - Invariant checkers (invariants.go): structural validity,
 //     ultrametricity, d_T ≥ M feasibility, cost-equals-edge-weight-sum,
 //     leaf-set preservation, minimal-height tightness, and (for the
-//     decomposition path) compact-sets-appear-as-clades.
+//     decomposition path) compact-sets-appear-as-clades and a detected
+//     family equal to the independent threshold detector's.
 //
 //   - A differential harness (engines.go, differential.go): every engine —
 //     sequential DFS, best-first, parallel at several worker counts, the
-//     whole-matrix core path, the compact-set decomposition, each with and
-//     without the 3-3 constraint — runs on the same instance. Exact
+//     whole-matrix core path, the compact-set decomposition, with and
+//     without the 3-3 constraint and under the strong rule set — runs on
+//     the same instance. Exact
 //     engines must agree with the oracle (or with each other beyond oracle
 //     range) to within floating-point tolerance; heuristic engines must
 //     stay within a configured approximation ratio and may never beat the
