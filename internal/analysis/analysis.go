@@ -33,9 +33,10 @@
 //   - kindswitch: every switch over obs.Kind covers all declared event
 //     kinds or carries an explicit default, so growing the telemetry
 //     vocabulary cannot silently drop events in a forgotten consumer.
-//   - onestep: (*bb.Problem).Expand and PropagatedLB are called only by
-//     bb.Step (internal/bb/step.go), so every engine runs the one search
-//     step instead of a hand-copied loop that can drift.
+//   - onestep: (*bb.Problem).Expand, PropagatedLB and the step's
+//     propagation test propagatedPrunes are called only by bb.Step
+//     (internal/bb/step.go), so every engine runs the one search step
+//     instead of a hand-copied loop that can drift.
 //
 // A finding can be suppressed with an in-code justification:
 //

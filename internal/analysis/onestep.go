@@ -13,18 +13,19 @@ import (
 // draw, Expand) through bb.Step in internal/bb/step.go. When each engine
 // wrote that loop out by hand the copies drifted: the farm never applied
 // the propagation bound and the prune predicate was inlined six times.
-// Any other reference to (*bb.Problem).Expand or (*bb.Problem).PropagatedLB
-// is reported, so a new engine cannot grow a private copy of the step.
+// Any other reference to (*bb.Problem).Expand, (*bb.Problem).PropagatedLB
+// or the step's yes/no propagation test (*bb.Problem).propagatedPrunes is
+// reported, so a new engine cannot grow a private copy of the step.
 var OneStep = &Analyzer{
 	Name: "onestep",
-	Doc:  "(*bb.Problem).Expand and PropagatedLB are called only by bb.Step in internal/bb/step.go",
+	Doc:  "(*bb.Problem).Expand, PropagatedLB and propagatedPrunes are called only by bb.Step in internal/bb/step.go",
 	Run:  runOneStep,
 }
 
 const bbPkgPath = "evotree/internal/bb"
 
 // stepKernel names the Problem methods only the step may call.
-var stepKernel = map[string]bool{"Expand": true, "PropagatedLB": true}
+var stepKernel = map[string]bool{"Expand": true, "PropagatedLB": true, "propagatedPrunes": true}
 
 func runOneStep(pass *Pass) error {
 	inBB := pkgPath(pass.Pkg) == bbPkgPath

@@ -10,6 +10,8 @@ func (p *Problem) Expand(v *PNode, ub float64) []*PNode { return nil }
 
 func (p *Problem) PropagatedLB(v *PNode) float64 { return v.LB }
 
+func (p *Problem) propagatedPrunes(v *PNode, ub float64) bool { return v.LB >= ub }
+
 // Root is not part of the step kernel; calling it anywhere is fine.
 func (p *Problem) Root() *PNode { return &PNode{} }
 
@@ -17,6 +19,9 @@ func (p *Problem) Root() *PNode { return &PNode{} }
 // itself.
 func (p *Problem) solveByHand(v *PNode) int {
 	if p.PropagatedLB(v) > 1 { // want `\(\*bb\.Problem\)\.PropagatedLB outside bb\.Step`
+		return 0
+	}
+	if p.propagatedPrunes(v, 1) { // want `\(\*bb\.Problem\)\.propagatedPrunes outside bb\.Step`
 		return 0
 	}
 	return len(p.Expand(v, 1)) // want `\(\*bb\.Problem\)\.Expand outside bb\.Step`

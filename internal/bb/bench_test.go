@@ -64,6 +64,36 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
+// BenchmarkStepPropagate measures one search step under Propagate at a
+// mid-depth node of a perturbed-clock instance, with the optimal cost as
+// the incumbent: the step's propagation test and, when the node passes
+// it, Expand.
+func BenchmarkStepPropagate(b *testing.B) {
+	m := matrix.PerturbedUltrametric(rand.New(rand.NewSource(3)), 16, 100, 0.1)
+	p, err := NewProblem(m, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ub := p.SolveSequential(DefaultOptions()).Cost
+	np := p.NewPool()
+	v := p.Root()
+	for v.K < 8 {
+		v = expandAll(p, v, np)[0]
+	}
+	if v.LB >= ub {
+		b.Fatalf("benchmark node is pruned at pop: LB %v, incumbent %v", v.LB, ub)
+	}
+	st := &Step{P: p, Opt: StrongOptions(), Pool: np, Stats: &Stats{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := np.get(p.n)
+		w.copyFrom(v)
+		children, _ := st.Run(w, ub)
+		releaseAll(np, children)
+	}
+}
+
 // expandAll and releaseAll adapt the benchmarks to the kernel API so the
 // same measurements can be compared across refactors of Expand.
 func expandAll(p *Problem, v *PNode, np *NodePool) []*PNode {

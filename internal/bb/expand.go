@@ -30,15 +30,16 @@ type Constraints struct {
 // per-rule attribution of every discarded candidate. v must not be
 // complete.
 //
-// The bound check runs BEFORE cloning: each candidate's Cost (and hence
-// LB) is computed read-only against the parent, so a pruned child costs no
-// allocation at all. ub is the caller's current upper bound (+Inf for an
-// unbounded expansion); collectAll keeps LB == ub children alive, exactly
-// like the engines' prune predicate. Kept children are drawn from np (nil
-// allocates fresh nodes). The returned PruneStats has only Bound,
-// ThreeThree and Constraint components (Expand never discards by incumbent
-// or budget); callers fold it in with Stats.CountExpand, which counts both
-// survivors and discards as Generated.
+// The bound check runs BEFORE cloning: one pricing pass over v (see
+// price) prices every position in O(1), read-only against the parent, so
+// a pruned child costs no allocation at all. ub is the caller's current
+// upper bound (+Inf for an unbounded expansion); collectAll keeps
+// LB == ub children alive, exactly like the engines' prune predicate.
+// Kept children are drawn from np (nil allocates fresh nodes). The
+// returned PruneStats has only Bound, ThreeThree and Constraint components
+// (Expand never discards by incumbent or budget); callers fold it in with
+// Stats.CountExpand, which counts both survivors and discards as
+// Generated.
 func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, np *NodePool) (children []*PNode, pruned PruneStats) {
 	s := v.K
 	if s >= p.n {
@@ -52,12 +53,11 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		allowed = p.thirdSpeciesPositions()
 	}
 	tail := p.tail[s+1]
-	// The max-distance table lives in the pool's scratch slice, so the
-	// pooled steady state allocates nothing (guarded by
-	// TestPrunedChildrenAllocateNothing); only the nil-pool path pays for a
-	// fresh slice.
-	md := np.mdScratch(positions)
-	p.maxDistSweep(v, s, md)
+	// The pass's tables live in the pool's scratch, so the pooled steady
+	// state allocates nothing (guarded by TestPrunedChildrenAllocateNothing);
+	// only the nil-pool path pays for fresh slices.
+	md, r, stk := np.scratch(positions)
+	base := p.price(v, s, md, r, stk)
 	// Dominance rules lose alternate optima, so CollectAll (and the rare
 	// restricted third-species step, whose allowed-mask they would fight)
 	// turns them off.
@@ -70,16 +70,12 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		// ½·d(s,s'), and no ancestor rises because s' already forced every
 		// height s needs. Only that one position is generated.
 		e := v.leafID[p.twinSib[s]]
-		pos := int(e)
-		if e > v.root {
-			pos--
-		}
 		pruned.Dominance += int64(positions - 1)
-		lb := p.childBound(v, s, pos, md) + tail
-		if Prunes(lb, ub, collectAll) {
+		cost := base + spend(v, e, md, r)
+		if Prunes(cost+tail, ub, collectAll) {
 			pruned.Bound++
 		} else {
-			children = append(children, p.insert(v, s, pos, np, md))
+			children = append(children, p.insert(v, s, e, cost, np, md))
 		}
 		return children, pruned
 	}
@@ -88,22 +84,17 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 			pruned.ThreeThree++
 			continue
 		}
-		if dominance && pos < positions-1 {
-			e := int32(pos)
-			if e >= v.root {
-				e++
-			}
-			if p.twinShadowed(v, e) {
-				pruned.Dominance++
-				continue
-			}
+		e := v.posNode(pos)
+		if dominance && p.twinShadowed(v, e) {
+			pruned.Dominance++
+			continue
 		}
-		lb := p.childBound(v, s, pos, md) + tail
-		if Prunes(lb, ub, collectAll) {
+		cost := base + spend(v, e, md, r)
+		if Prunes(cost+tail, ub, collectAll) {
 			pruned.Bound++
 			continue
 		}
-		children = append(children, p.insert(v, s, pos, np, md))
+		children = append(children, p.insert(v, s, e, cost, np, md))
 	}
 	if c.ThreeThreeAll && s >= 2 && len(children) > 0 {
 		keep := 0
@@ -149,18 +140,15 @@ func sortByLB(children []*PNode) {
 }
 
 // maxDistSweep fills md[x] = max_{j under x} d[s][j] for every node x of
-// v's partial topology — the quantity childBound and insert need for each
-// candidate position. One leaf-to-root bubbling pass replaces the per-
-// position maxDistToMask rescans that used to dominate the search kernel's
-// profile: each placed species walks its ancestor path, raising maxima, and
-// stops at the first ancestor already at or above its value (some leaf
-// below that ancestor carries a larger distance, and that leaf's own walk
-// covers the remaining ancestors). The early exit makes the sweep near
-// linear in K on typical instances and never worse than the single
-// childBound walk it amortizes. max is order-independent, so md is
-// bit-identical to the mask rescans it replaces — prune decisions do not
-// move. s may be any unplaced species (the propagation bound sweeps every
-// one of them), so the scan covers exactly the v.K placed leaves.
+// v's partial topology — the quantity the pricing pass and insert need
+// for each candidate position. One leaf-to-root bubbling pass: each placed
+// species walks its ancestor path, raising maxima, and stops at the first
+// ancestor already at or above its value (some leaf below that ancestor
+// carries a larger distance, and that leaf's own walk covers the remaining
+// ancestors). The early exit makes the sweep near linear in K on typical
+// instances. max is order-independent, so md is exact. s may be any
+// unplaced species (the propagation bound sweeps every one of them), so
+// the scan covers exactly the v.K placed leaves.
 func (p *Problem) maxDistSweep(v *PNode, s int, md []float64) {
 	row := p.d[s*p.n : s*p.n+p.n]
 	for i := range md {

@@ -4,7 +4,7 @@ import "fmt"
 
 // Insertion-path encoding. A BBT node is fully determined by the sequence
 // of insertion positions that built it: entry i of a path is the position
-// (in insert's numbering: [0, 2K−2) selects an edge in node-id order
+// (in posNode's numbering: [0, 2K−2) selects an edge in node-id order
 // skipping the root, 2K−2 inserts above the root) at which permuted
 // species i+2 joined the topology. Because insert assigns node ids purely
 // by insertion ORDER — species s always becomes leaf 2s−1 and creates
@@ -25,9 +25,12 @@ func (p *Problem) Child(v *PNode, pos int, np *NodePool) (*PNode, error) {
 	if pos < 0 || pos >= v.Positions() {
 		return nil, fmt.Errorf("bb: position %d out of range [0,%d)", pos, v.Positions())
 	}
-	md := np.mdScratch(v.Positions())
-	p.maxDistSweep(v, v.K, md)
-	return p.insert(v, v.K, pos, np, md), nil
+	// The same pricing pass as Expand, so a replayed child is
+	// bit-identical to the one Expand kept.
+	md, r, stk := np.scratch(v.Positions())
+	base := p.price(v, v.K, md, r, stk)
+	e := v.posNode(pos)
+	return p.insert(v, v.K, e, base+spend(v, e, md, r), np, md), nil
 }
 
 // WalkPath replays an insertion path from the BBT root and returns the
@@ -87,7 +90,7 @@ func (v *PNode) Path() []int {
 		parent[e] = par
 		pos := int(e)
 		if e > root {
-			pos-- // insert's numbering skips the root
+			pos-- // posNode's numbering skips the root
 		}
 		path[s-2] = pos
 	}

@@ -42,10 +42,12 @@ func TestPathRoundTrip(t *testing.T) {
 			if v.Complete(p) || checked > 500 {
 				return
 			}
-			md := make([]float64, v.Positions())
-			p.maxDistSweep(v, v.K, md)
 			for pos := 0; pos < v.Positions(); pos++ {
-				rec(p.insert(v, v.K, pos, np, md))
+				c, err := p.Child(v, pos, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec(c)
 			}
 		}
 		rec(p.Root())

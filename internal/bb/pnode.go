@@ -21,8 +21,7 @@ type PNode struct {
 	Cost float64 // ω of the minimal UT realizing this partial topology
 	LB   float64 // Cost + tail(K); monotone along any root-to-leaf BBT path
 
-	root   int32
-	sumInt float64 // Σ height over internal nodes (cost = sumInt + h(root))
+	root int32
 
 	// Flat binary-tree storage; node ids index these views into the slab.
 	parent  []int32
@@ -39,9 +38,9 @@ type PNode struct {
 // float64 and int32 views carved from it with unsafe.Slice are always
 // correctly aligned; the derived slices keep the backing array alive.
 func newPNode(n int) *PNode {
-	maxN := 2*n - 1                   // tree nodes in a complete topology
-	nInt32 := 4*maxN + n              // parent, left, right, species + leafID
-	words := 2*maxN + (nInt32+1)/2    // mask + height + packed int32 area
+	maxN := 2*n - 1                // tree nodes in a complete topology
+	nInt32 := 4*maxN + n           // parent, left, right, species + leafID
+	words := 2*maxN + (nInt32+1)/2 // mask + height + packed int32 area
 	slab := make([]uint64, words)
 	v := &PNode{}
 	v.mask = slab[:maxN:maxN]
@@ -60,7 +59,7 @@ func newPNode(n int) *PNode {
 func (c *PNode) copyFrom(v *PNode) {
 	nn := 2*v.K - 1
 	c.K, c.Cost, c.LB = v.K, v.Cost, v.LB
-	c.root, c.sumInt = v.root, v.sumInt
+	c.root = v.root
 	copy(c.parent[:nn], v.parent[:nn])
 	copy(c.left[:nn], v.left[:nn])
 	copy(c.right[:nn], v.right[:nn])
@@ -78,16 +77,15 @@ func (c *PNode) copyFrom(v *PNode) {
 type NodePool struct {
 	n    int
 	free []*PNode
-	md   []float64 // Expand's per-species max-distance sweep scratch
 
-	// Propagation scratch (PropagatedLB): a second max-distance table —
-	// separate from md so a pop-time bound never clobbers an in-progress
-	// expansion — plus the node stack and accumulated-raise stack of the
-	// top-down pass. Reused across calls so the pooled steady state
-	// allocates nothing (the AllocsPerRun guards cover the propagate path).
-	pmd    []float64
-	pstk   []int32
-	praise []float64
+	// Pricing-pass scratch (see price): the max-distance table, the raise
+	// table and the node stack of the top-down pass. Expand, Child and the
+	// propagation bound each use it within one call, so one set serves
+	// them all, and the pooled steady state allocates nothing (the
+	// AllocsPerRun guards cover both the expand and the propagate path).
+	md  []float64
+	r   []float64
+	stk []int32
 }
 
 // NewPool returns an empty free list for p's node size.
@@ -106,32 +104,22 @@ func (np *NodePool) get(n int) *PNode {
 	return v
 }
 
-// mdScratch returns a length-nn scratch slice for Expand's max-distance
-// sweep, reused across expansions so the steady state allocates nothing. A
-// nil pool allocates a fresh slice (the nil-pool slow path).
-func (np *NodePool) mdScratch(nn int) []float64 {
+// scratch returns the pricing pass's length-nn max-distance table, raise
+// table and node stack, reused across calls so the steady state allocates
+// nothing. The first call sizes them for the complete topology, so a
+// deepening search never regrows them. A nil pool allocates fresh slices
+// (the nil-pool slow path).
+func (np *NodePool) scratch(nn int) (md, r []float64, stk []int32) {
 	if np == nil {
-		return make([]float64, nn)
+		return make([]float64, nn), make([]float64, nn), make([]int32, nn)
 	}
 	if cap(np.md) < nn {
-		np.md = make([]float64, nn)
+		size := max(nn, 2*np.n-1)
+		np.md = make([]float64, size)
+		np.r = make([]float64, size)
+		np.stk = make([]int32, size)
 	}
-	return np.md[:nn]
-}
-
-// propScratch returns the propagation pass's scratch: a length-nn
-// max-distance table plus node/raise stacks of capacity nn. A nil pool
-// allocates fresh slices (the nil-pool slow path, mirroring mdScratch).
-func (np *NodePool) propScratch(nn int) (md []float64, stk []int32, raise []float64) {
-	if np == nil {
-		return make([]float64, nn), make([]int32, nn), make([]float64, nn)
-	}
-	if cap(np.pmd) < nn {
-		np.pmd = make([]float64, nn)
-		np.pstk = make([]int32, nn)
-		np.praise = make([]float64, nn)
-	}
-	return np.pmd[:nn], np.pstk[:nn], np.praise[:nn]
+	return np.md[:nn], np.r[:nn], np.stk[:nn]
 }
 
 // Put recycles a node the caller no longer references. Putting nil is a
@@ -157,8 +145,7 @@ func (p *Problem) Root() *PNode {
 	v.mask[0], v.mask[1], v.mask[2] = 1, 2, 3
 	v.leafID[0], v.leafID[1] = 0, 1
 	v.root = 2
-	v.sumInt = h
-	v.Cost = v.sumInt + h
+	v.Cost = h + h
 	v.LB = v.Cost + p.tail[2]
 	return v
 }
@@ -170,64 +157,79 @@ func (v *PNode) Positions() int { return 2*v.K - 1 }
 // Complete reports whether v places all species of p.
 func (v *PNode) Complete(p *Problem) bool { return v.K == p.n }
 
-// childBound computes the Cost a child of v would have after inserting
-// permuted species s at pos — the same arithmetic insert performs, but
-// read-only and without cloning, so children that prune against the upper
-// bound never allocate. pos has insert's meaning. md is the per-node
-// max-distance table for species s (see maxDistSweep): md[x] equals
-// maxDistToMask(s, v.mask[x]), precomputed once per expansion so the 2K−1
-// candidate positions share one sweep instead of rescanning leaf masks.
-func (p *Problem) childBound(v *PNode, s, pos int, md []float64) float64 {
+// posNode returns the node whose parent edge insertion position pos
+// splits: pos in [0, 2K−2) indexes the non-root nodes in id order, and
+// pos == 2K−2 is the position above the root, which returns the root
+// itself. Expand, Child and insertion paths all number positions so.
+func (v *PNode) posNode(pos int) int32 {
 	if pos == 2*v.K-2 {
-		// Insert above the root.
-		h := md[v.root] / 2
-		if hr := v.height[v.root]; hr > h {
-			h = hr
-		}
-		// Written as two additions so the result is bit-identical to
-		// insert's (sumInt += h; Cost = sumInt + h) sequence: the prune
-		// decision must agree exactly with the LB insert would produce.
-		return v.sumInt + h + h
+		return v.root
 	}
 	e := int32(pos)
 	if e >= v.root {
 		e++ // the root has no parent edge
 	}
-	h := md[e] / 2
-	if v.height[e] > h {
-		h = v.height[e]
-	}
-	sum := v.sumInt + h
-	// Walk the ancestors exactly like insert's propagation loop, tracking
-	// the new height of the on-path child (hc) without writing anything.
-	hc := h
-	child := e
-	for u := v.parent[e]; u != -1; u = v.parent[u] {
-		other := v.left[u]
-		if other == child {
-			other = v.right[u]
-		}
-		hu := v.height[u]
-		if hc > hu {
-			hu = hc
-		}
-		if hx := md[other] / 2; hx > hu {
-			hu = hx
-		}
-		sum += hu - v.height[u]
-		hc = hu
-		child = u
-	}
-	return sum + hc // hc is the new root height
+	return e
 }
 
-// insert returns a copy of v with permuted species s added, drawn from np.
-// pos selects the insertion position: pos in [0, 2K−2) indexes an edge (the
-// parent edge of node pos, skipping the root, in node-id order), and
-// pos == 2K−2 inserts above the root. The new node's Cost and LB are set.
-// md is the same max-distance table childBound used; every lookup below
-// reads a node that predates the insertion, so v's table is valid for c.
-func (p *Problem) insert(v *PNode, s, pos int, np *NodePool, md []float64) *PNode {
+// price runs the pricing pass for unplaced species s over v. It sweeps
+// s's max-distance table into md (see maxDistSweep), then one top-down
+// pass fills r[x] = R(x), the sum over the strict ancestors u of x of
+//
+//	A(u) = max(0, md[u]/2 − h(u)),
+//
+// the rise u needs once s sits below it. It returns v.Cost + A(root):
+// inserting s above node e (e = root for the position above the root)
+// then costs that plus spend(v, e, md, r), O(1) per position. stk is the
+// pass's node stack; md, r and stk need length 2K−1.
+func (p *Problem) price(v *PNode, s int, md, r []float64, stk []int32) float64 {
+	p.maxDistSweep(v, s, md)
+	root := v.root
+	r[root] = 0
+	stk[0] = root
+	for sp := 1; sp > 0; {
+		sp--
+		x := stk[sp]
+		l := v.left[x]
+		if l == -1 {
+			continue
+		}
+		a := r[x]
+		if half, hx := md[x]/2, v.height[x]; half > hx {
+			a += half - hx // A(x), charged to both subtrees
+		}
+		rt := v.right[x]
+		r[l], r[rt] = a, a
+		stk[sp], stk[sp+1] = l, rt
+		sp += 2
+	}
+	base := v.Cost
+	if half, hr := md[root]/2, v.height[root]; half > hr {
+		base += half - hr
+	}
+	return base
+}
+
+// spend is what inserting the priced species above node x adds beyond
+// v.Cost + A(root): the new joining node's height max(h(x), md[x]/2) plus
+// the raises R(x) of x's ancestors. It is also the propagation bound's
+// spend_t(x) (see propagate.go).
+func spend(v *PNode, x int32, md, r []float64) float64 {
+	h := md[x] / 2
+	if hx := v.height[x]; hx > h {
+		h = hx
+	}
+	return h + r[x]
+}
+
+// insert returns a copy of v with permuted species s added above node e
+// (on e's parent edge, or above the root when e is the root), drawn from
+// np. Its Cost is cost, the price the caller computed for that position
+// (price's base plus spend), so the child's LB is bit-identical to the
+// bound it was kept on. md is the table price swept for s; every lookup
+// below reads a node that predates the insertion, so v's table is valid
+// for c.
+func (p *Problem) insert(v *PNode, s int, e int32, cost float64, np *NodePool, md []float64) *PNode {
 	c := np.get(p.n)
 	c.copyFrom(v)
 	sb := uint64(1) << uint(s)
@@ -237,72 +239,37 @@ func (p *Problem) insert(v *PNode, s, pos int, np *NodePool, md []float64) *PNod
 	c.left[leaf], c.right[leaf] = -1, -1
 	c.height[leaf], c.mask[leaf] = 0, sb
 	c.leafID[s] = leaf
-	c.species[in], c.parent[in] = -1, -1
-	c.left[in], c.right[in] = -1, -1
-	c.height[in], c.mask[in] = 0, 0
 
-	if pos == 2*v.K-2 {
-		// Insert above the root: in becomes the new root with children
-		// (old root, leaf).
-		old := c.root
-		h := md[old] / 2
-		if c.height[old] > h {
-			h = c.height[old]
+	h := md[e] / 2
+	if c.height[e] > h {
+		h = c.height[e]
+	}
+	par := c.parent[e]
+	c.species[in], c.parent[in] = -1, par
+	c.left[in], c.right[in] = e, leaf
+	c.height[in], c.mask[in] = h, c.mask[e]|sb
+	c.parent[e], c.parent[leaf] = in, in
+	switch {
+	case par == -1:
+		c.root = in // inserted above the root
+	case c.left[par] == e:
+		c.left[par] = in
+	default:
+		c.right[par] = in
+	}
+	// Every ancestor rises to max(h(u), md[u]/2): its new cross pairs
+	// (s, j) with j below it need md[u]/2, and the rise of its on-path
+	// child never exceeds that, because heights grow toward the root and
+	// md[u] covers the child's md.
+	for u := par; u != -1; u = c.parent[u] {
+		if hu := md[u] / 2; hu > c.height[u] {
+			c.height[u] = hu
 		}
-		c.left[in], c.right[in] = old, leaf
-		c.parent[old], c.parent[leaf] = in, in
-		c.mask[in] = c.mask[old] | sb
-		c.height[in] = h
-		c.root = in
-		c.sumInt += h
-	} else {
-		// Insert on the parent edge of node e (skipping the root in
-		// node-id order).
-		e := int32(pos)
-		if e >= c.root {
-			e++ // the root has no parent edge
-		}
-		par := c.parent[e]
-		h := md[e] / 2
-		if c.height[e] > h {
-			h = c.height[e]
-		}
-		c.left[in], c.right[in] = e, leaf
-		c.parent[e], c.parent[leaf] = in, in
-		c.parent[in] = par
-		if c.left[par] == e {
-			c.left[par] = in
-		} else {
-			c.right[par] = in
-		}
-		c.mask[in] = c.mask[e] | sb
-		c.height[in] = h
-		c.sumInt += h
-		// Propagate the new species upward: each ancestor may need to
-		// raise its height for the new cross pairs (s, j) with j under
-		// its other child, and must absorb any height increase below.
-		child := in
-		for u := par; u != -1; u = c.parent[u] {
-			other := c.left[u]
-			if other == child {
-				other = c.right[u]
-			}
-			h := c.height[u]
-			if hc := c.height[child]; hc > h {
-				h = hc
-			}
-			if hx := md[other] / 2; hx > h {
-				h = hx
-			}
-			c.sumInt += h - c.height[u]
-			c.height[u] = h
-			c.mask[u] |= sb
-			child = u
-		}
+		c.mask[u] |= sb
 	}
 	c.K = v.K + 1
-	c.Cost = c.sumInt + c.height[c.root]
-	c.LB = c.Cost + p.tail[c.K]
+	c.Cost = cost
+	c.LB = cost + p.tail[c.K]
 	return c
 }
 

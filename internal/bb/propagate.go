@@ -1,7 +1,5 @@
 package bb
 
-import "math"
-
 // This file implements the ultrametric propagation bound: an
 // exactness-preserving strengthening of the paper's tail lower bound
 // obtained by propagating the three-point ultrametric condition of the
@@ -48,64 +46,78 @@ import "math"
 // proves for v: v.LB plus the best single-species undercharge (zero for a
 // complete topology). The bound is exactness-preserving — every
 // completion of v costs at least PropagatedLB(v) — so engines may prune
-// against it exactly like v.LB. Scratch comes from np (nil allocates);
-// the pooled steady state allocates nothing. Cost is O((n−K)·K) worst
-// case, with a per-species skip that exits in O(1) whenever a species'
-// follower floor caps its possible contribution below the running best.
+// against it exactly like v.LB. spend_t(x) is the pricing pass's spend
+// for species t (see price), so each species costs one pass over v.
+// Scratch comes from np (nil allocates); the pooled steady state
+// allocates nothing. Cost is O((n−K)·K) worst case, with a per-species
+// skip that exits in O(1) whenever a species' follower floor caps its
+// possible contribution below the running best. The search step asks
+// only whether this bound crosses its incumbent, through
+// propagatedPrunes.
 func (p *Problem) PropagatedLB(v *PNode, np *NodePool) float64 {
 	k := v.K
 	if k >= p.n {
 		return v.LB
 	}
-	nn := 2*k - 1
-	md, stk, raise := np.propScratch(nn)
+	nn := int32(2*k - 1)
+	md, r, stk := np.scratch(int(nn))
 	follow := p.followHalf[k*p.n:]
 	extra := 0.0
 	for t := k; t < p.n; t++ {
 		delta := p.tail[t] - p.tail[t+1]
-		follower := follow[t]
-		if follower-delta <= extra {
+		minSpend := follow[t]
+		if minSpend-delta <= extra {
 			// Even the best topology-aware spend is capped by the follower
 			// floor; this species cannot beat the current increment.
 			continue
 		}
-		p.maxDistSweep(v, t, md)
-		// Top-down pass over v: for every node x, the joining-node floor
-		// NN_t(x) plus the accumulated ancestor raises S_t(x). raise
-		// carries S along the explicit DFS stack.
-		minSpend := math.Inf(1)
-		stk[0], raise[0] = v.root, 0
-		sp := 1
-		for sp > 0 {
-			sp--
-			x, acc := stk[sp], raise[sp]
-			hx := v.height[x]
-			half := md[x] / 2
-			val := hx + acc
-			if half > hx {
-				val = half + acc
+		p.price(v, t, md, r, stk)
+		for x := int32(0); x < nn; x++ {
+			if sp := spend(v, x, md, r); sp < minSpend {
+				minSpend = sp
 			}
-			if val < minSpend {
-				minSpend = val
-			}
-			if l := v.left[x]; l != -1 {
-				a := acc
-				if half > hx {
-					a += half - hx // A_t(x), charged to both subtrees
-				}
-				stk[sp], raise[sp] = l, a
-				stk[sp+1], raise[sp+1] = v.right[x], a
-				sp += 2
-			}
-		}
-		if follower < minSpend {
-			minSpend = follower
 		}
 		if e := minSpend - delta; e > extra {
 			extra = e
 		}
 	}
 	return v.LB + extra
+}
+
+// propagatedPrunes returns exactly Prunes(p.PropagatedLB(v, np), ub,
+// collectAll) without computing the max. Rounding is monotone, so
+// v.LB + max_t e_t crosses ub exactly when v.LB crosses it or some single
+// v.LB + e_t does, and e_t = min(follower, min_x spend_t(x)) − δ_t crosses
+// exactly when the follower term and every position's term cross. So the
+// test skips species whose follower term stays below ub, stops a species
+// at its first position that stays below, and returns at the first
+// species whose every term crosses.
+func (p *Problem) propagatedPrunes(v *PNode, ub float64, collectAll bool, np *NodePool) bool {
+	if Prunes(v.LB, ub, collectAll) {
+		return true
+	}
+	k := v.K
+	if k >= p.n {
+		return false
+	}
+	nn := int32(2*k - 1)
+	md, r, stk := np.scratch(int(nn))
+	follow := p.followHalf[k*p.n:]
+	for t := k; t < p.n; t++ {
+		delta := p.tail[t] - p.tail[t+1]
+		if !Prunes(v.LB+(follow[t]-delta), ub, collectAll) {
+			continue
+		}
+		p.price(v, t, md, r, stk)
+		crosses := true
+		for x := int32(0); x < nn && crosses; x++ {
+			crosses = Prunes(v.LB+(spend(v, x, md, r)-delta), ub, collectAll)
+		}
+		if crosses {
+			return true
+		}
+	}
+	return false
 }
 
 // twinShadowed reports whether the insertion position above node e is

@@ -16,10 +16,10 @@ func minCompletion(p *Problem, v *PNode) float64 {
 		return v.Cost
 	}
 	best := math.Inf(1)
-	md := make([]float64, v.Positions())
-	p.maxDistSweep(v, v.K, md)
 	for pos := 0; pos < v.Positions(); pos++ {
-		if c := minCompletion(p, p.insert(v, v.K, pos, nil, md)); c < best {
+		// v is incomplete and pos in range, so Child cannot fail.
+		c, _ := p.Child(v, pos, nil)
+		if c := minCompletion(p, c); c < best {
 			best = c
 		}
 	}
@@ -107,9 +107,73 @@ func TestPropagatedLBTightensOnPerturbed(t *testing.T) {
 	}
 }
 
+// TestStepPropagationMatchesPropagatedLB pins the step's yes/no
+// propagation test to the value form: at every node popped in DFS
+// searches over four families, propagatedPrunes must answer exactly
+// Prunes(PropagatedLB(v), ub, collectAll) for ub at the incumbent, at the
+// bound itself, one ulp either side of it, and at +Inf, under both
+// collectAll settings.
+func TestStepPropagationMatchesPropagatedLB(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(rng *rand.Rand) *matrix.Matrix
+	}{
+		{"uniform", func(rng *rand.Rand) *matrix.Matrix { return matrix.Random0100(rng, 10) }},
+		{"metric", func(rng *rand.Rand) *matrix.Matrix { return matrix.RandomMetric(rng, 10, 50, 100) }},
+		{"perturbed", func(rng *rand.Rand) *matrix.Matrix {
+			return matrix.PerturbedUltrametric(rng, 11, 100, 0.1)
+		}},
+		{"twins", func(rng *rand.Rand) *matrix.Matrix { return twinMatrix(rng, 7, 3) }},
+	}
+	answers := map[bool]int{}
+	for _, f := range families {
+		for seed := int64(1); seed <= 4; seed++ {
+			p, err := NewProblem(f.gen(rand.New(rand.NewSource(seed))), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			np := p.NewPool()
+			st := &Step{P: p, Opt: StrongOptions(), Pool: np, Stats: &Stats{}}
+			_, ub := p.InitialUpperBound()
+			stack := []*PNode{p.Root()}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				plb := p.PropagatedLB(v, np)
+				for _, u := range []float64{ub, plb, math.Nextafter(plb, math.Inf(-1)),
+					math.Nextafter(plb, math.Inf(1)), math.Inf(1)} {
+					for _, collectAll := range []bool{false, true} {
+						want := Prunes(plb, u, collectAll)
+						if got := p.propagatedPrunes(v, u, collectAll, np); got != want {
+							t.Fatalf("%s seed=%d K=%d ub=%v collectAll=%v: propagatedPrunes = %v, Prunes(PropagatedLB = %v) = %v",
+								f.name, seed, v.K, u, collectAll, got, plb, want)
+						}
+						answers[want]++
+					}
+				}
+				children, _ := st.Run(v, ub)
+				for _, ch := range children {
+					if !ch.Complete(p) {
+						stack = append(stack, ch)
+						continue
+					}
+					if ch.Cost < ub {
+						ub = ch.Cost
+					}
+					np.Put(ch)
+				}
+			}
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Fatalf("degenerate check: %d prune and %d keep answers", answers[true], answers[false])
+	}
+}
+
 // TestPropagatedLBZeroAlloc pins the no-new-allocations contract of the
 // propagation layer: with a warm pool, re-bounding a node allocates
-// nothing.
+// nothing, the step's yes/no test allocates nothing on either answer, and
+// neither does a Step.Run under Propagate that prunes the node by it.
 func TestPropagatedLBZeroAlloc(t *testing.T) {
 	p, err := NewProblem(kernelMatrix(12), true)
 	if err != nil {
@@ -131,6 +195,29 @@ func TestPropagatedLBZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PropagatedLB allocates %.0f objects on a warm pool, want 0", allocs)
+	}
+
+	plb := p.PropagatedLB(v, np)
+	if plb <= v.LB {
+		t.Fatalf("guard node must tighten under propagation: PropagatedLB %v, LB %v", plb, v.LB)
+	}
+	above := math.Nextafter(plb, math.Inf(1))
+	st := &Step{P: p, Opt: StrongOptions(), Pool: np, Stats: &Stats{}}
+	allocs = testing.AllocsPerRun(200, func() {
+		if p.propagatedPrunes(v, above, false, np) {
+			t.Fatal("propagation test pruned against a bound above PropagatedLB")
+		}
+		w := np.get(p.n)
+		w.copyFrom(v)
+		if children, _ := st.Run(w, plb); children != nil {
+			t.Fatal("Step.Run kept a node its propagation bound reaches")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Step.Run under Propagate allocates %.0f objects on a warm pool, want 0", allocs)
+	}
+	if st.Stats.Pruned.Ultrametric == 0 {
+		t.Fatal("Step.Run never pruned by propagation")
 	}
 }
 

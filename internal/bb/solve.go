@@ -370,6 +370,7 @@ func BruteForce(m *matrix.Matrix) (*tree.Tree, float64, error) {
 	}
 	best := math.Inf(1)
 	var bestNode *PNode
+	np := p.NewPool()
 	var rec func(v *PNode)
 	rec = func(v *PNode) {
 		if v.Complete(p) {
@@ -379,11 +380,10 @@ func BruteForce(m *matrix.Matrix) (*tree.Tree, float64, error) {
 			}
 			return
 		}
-		s := v.K
-		md := make([]float64, v.Positions())
-		p.maxDistSweep(v, s, md)
 		for pos := 0; pos < v.Positions(); pos++ {
-			rec(p.insert(v, s, pos, nil, md))
+			// v is incomplete and pos in range, so Child cannot fail.
+			c, _ := p.Child(v, pos, np)
+			rec(c)
 		}
 	}
 	rec(p.Root())

@@ -62,7 +62,7 @@ func (s *Step) Run(v *PNode, ub float64) ([]*PNode, bool) {
 	}
 	// Propagation prunes before the budget draw: a node the bound kills
 	// costs no share of the expansion budget.
-	if s.Opt.Propagate && Prunes(s.P.PropagatedLB(v, s.Pool), ub, collectAll) {
+	if s.Opt.Propagate && s.P.propagatedPrunes(v, ub, collectAll, s.Pool) {
 		s.Stats.CountUltrametricPrune(1)
 		s.Pool.Put(v)
 		return nil, true

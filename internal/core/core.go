@@ -190,6 +190,8 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			N: small.Len(), Elapsed: time.Since(reduceStart)})
 		emit(obs.Event{Kind: obs.SubproblemStart, Worker: id,
 			N: small.Len(), Elapsed: time.Since(pipeStart)})
+		// The searches below restart the clock once the semaphore grants
+		// their workers, so SubproblemFinish.Elapsed excludes queueing.
 		solveStart := time.Now()
 		var groupTree *tree.Tree
 		var stats bb.Stats
@@ -209,6 +211,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			// (at least one), so concurrent subproblems share the worker
 			// budget instead of multiplying it.
 			grant := sem.acquireUpTo(opt.Workers)
+			solveStart = time.Now()
 			pres, err := pbb.Solve(small, pbb.Options{
 				Options: opt.BB, Workers: grant, InitialFanout: 2,
 			})
@@ -222,6 +225,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			optimal = pres.Optimal
 		default:
 			grant := sem.acquireUpTo(1)
+			solveStart = time.Now()
 			sres, err := bb.Solve(small, opt.BB)
 			sem.release(grant)
 			if err != nil {

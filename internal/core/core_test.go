@@ -3,10 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"evotree/internal/compact"
 	"evotree/internal/matrix"
+	"evotree/internal/obs"
+	"evotree/internal/seqsim"
 )
 
 func TestConstructWithAndWithoutCompactSets(t *testing.T) {
@@ -198,5 +202,39 @@ func TestParallelThresholdPath(t *testing.T) {
 	}
 	if !res.Tree.Feasible(m, 1e-9) {
 		t.Fatal("infeasible")
+	}
+}
+
+// TestSubproblemSolveTimeExcludesQueueing pins what SubproblemFinish's
+// Elapsed measures: the solve alone, not the wait for the worker
+// semaphore. With one worker the solves run one at a time, so their
+// times must sum to no more than the whole construction; timing from
+// before the grant counted every queued subproblem's wait as well.
+func TestSubproblemSolveTimeExcludesQueueing(t *testing.T) {
+	ds, err := seqsim.Generate(rand.New(rand.NewSource(5)), seqsim.Params{Species: 400, SeqLen: 150, Rate: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var solves time.Duration
+	finished := 0
+	opt := DefaultOptions(1)
+	opt.Probe = obs.ProbeFunc(func(ev obs.Event) {
+		if ev.Kind == obs.SubproblemFinish {
+			mu.Lock()
+			solves += ev.Elapsed
+			finished++
+			mu.Unlock()
+		}
+	})
+	res, err := Construct(ds.Matrix, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finished < 2 {
+		t.Fatalf("only %d subproblems solved; the check needs queueing", finished)
+	}
+	if solves > res.Elapsed {
+		t.Fatalf("%d subproblem solves sum to %v, above the %v construction", finished, solves, res.Elapsed)
 	}
 }

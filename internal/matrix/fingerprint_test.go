@@ -273,3 +273,49 @@ func TestTwinClasses(t *testing.T) {
 		t.Fatalf("TwinClasses on empty matrix = %v, want nil", c)
 	}
 }
+
+// TestTwinClassesMatchRefinement pins TwinClasses, which collapses twins
+// over a single class, to the twin collapse over the WL refinement
+// classes, on random, heavy-tie, exactly ultrametric and planted-twin
+// matrices.
+func TestTwinClassesMatchRefinement(t *testing.T) {
+	gens := map[string]func(rng *rand.Rand, n int) *Matrix{
+		"random":    Random0100,
+		"heavy-tie": func(rng *rand.Rand, n int) *Matrix { return RandomMetric(rng, n, 1, 3) },
+		"ultrametric": func(rng *rand.Rand, n int) *Matrix {
+			return RandomUltrametric(rng, n, 100)
+		},
+		"planted-twins": func(rng *rand.Rand, n int) *Matrix {
+			m := RandomMetric(rng, n, 4, 8)
+			// Copy row 0 onto a few later species: exact twins of 0 (and
+			// of each other) at distance 1.
+			for c := n - 3; c < n; c++ {
+				for j := 1; j < n-3; j++ {
+					m.Set(c, j, m.At(0, j))
+				}
+				for l := 0; l < c; l++ {
+					if l == 0 || l >= n-3 {
+						m.Set(c, l, 1)
+					}
+				}
+			}
+			return m
+		},
+	}
+	for kind, gen := range gens {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 40; trial++ {
+			n := 4 + rng.Intn(30)
+			m := gen(rng, n)
+			got, want := m.TwinClasses(), m.twinReps(m.wlClasses())
+			if kind == "planted-twins" && want[n-1] != 0 {
+				t.Fatalf("n=%d trial %d: planted twin %d not collapsed onto 0: %v", n, trial, n-1, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d trial %d: TwinClasses = %v, refined twin collapse = %v", kind, n, trial, got, want)
+				}
+			}
+		}
+	}
+}
