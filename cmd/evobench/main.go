@@ -30,10 +30,10 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("evobench", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "", "experiment id, comma list, or 'all'")
-		list    = fs.Bool("list", false, "list experiment ids and exit")
-		seed    = fs.Int64("seed", 2005, "workload RNG seed")
-		workers = fs.Int("workers", 4, "goroutine workers for real parallel runs")
+		fig      = fs.String("fig", "", "experiment id, comma list, or 'all'")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		seed     = fs.Int64("seed", 2005, "workload RNG seed")
+		workers  = fs.Int("workers", 4, "goroutine workers for real parallel runs")
 		quick    = fs.Bool("quick", false, "shrink sweeps for a fast run")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text tables")
 		benchout = fs.String("benchout", "", "write the kernel/scaling experiment's JSON report to this file")

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"evotree/internal/compact"
 	"evotree/internal/graph"
@@ -57,7 +56,8 @@ v6 6.2 6.5 6.7 2 5 0
 	fmt.Printf("\nlaminar hierarchy: %s\n", hier)
 	fmt.Printf("subproblems to solve: %d\n\n", hier.Count())
 
-	// Show the reduced matrix at each internal node.
+	// Show the reduced matrix at each internal node. Its rows carry short
+	// labels, so each row is printed under the group's full name.
 	var show func(h *compact.Hierarchy)
 	show = func(h *compact.Hierarchy) {
 		if h.IsLeaf() {
@@ -68,8 +68,12 @@ v6 6.2 6.5 6.7 2 5 0
 			log.Fatal(err)
 		}
 		fmt.Printf("maximum matrix over group %v (%d children):\n", names(m, h.Members), len(kids))
-		if err := small.Write(os.Stdout); err != nil {
-			log.Fatal(err)
+		for i, ch := range kids {
+			fmt.Printf("  %-16s", compact.GroupName(m, ch))
+			for j := range kids {
+				fmt.Printf(" %4g", small.At(i, j))
+			}
+			fmt.Println()
 		}
 		fmt.Println()
 		for _, ch := range kids {

@@ -51,9 +51,10 @@ type Problem struct {
 	// per-species increment is capped by it (see propagate.go).
 	followHalf []float64
 	// twinRep[s] = smallest exact twin of s (twinRep[s] == s when none):
-	// species whose distance rows agree outside the pair, computed by
-	// matrix.TwinClasses on the permuted matrix. Swapping two twins is a
-	// matrix automorphism — the handle the dominance rules canonicalize.
+	// species whose distance rows agree outside the pair, as
+	// matrix.TwinClasses finds them, indexed in permuted space. Swapping
+	// two twins is a matrix automorphism — the handle the dominance rules
+	// canonicalize.
 	twinRep []int32
 	// twinSib[s] = smallest s' < s that is an exact twin of s with
 	// d(s,s') equal to s's whole-row minimum, -1 otherwise. When set, the
@@ -83,11 +84,13 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 	if useMaxMin {
 		perm = m.MaxMinPermutation()
 	}
-	pm := m.Relabel(perm)
+	// Read m through perm straight into the row-major table: no relabeled
+	// copy of m is built.
 	d := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			d[i*n+j] = pm.At(i, j)
+	for i, pi := range perm {
+		row, di := m.Row(pi), d[i*n:(i+1)*n]
+		for j, pj := range perm {
+			di[j] = row[pj]
 		}
 	}
 	p := &Problem{n: n, d: d, perm: perm, names: m.Names()}
@@ -119,12 +122,23 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 		}
 	}
 
-	// Twin classes (in permuted space) for the dominance rules.
-	rep := pm.TwinClasses()
+	// Twin classes (in permuted space) for the dominance rules. Being
+	// twins does not depend on labels, so the classes are found on m and
+	// each is named by its smallest permuted index: the representative
+	// TwinClasses would pick on the permuted matrix.
+	rep := m.TwinClasses()
+	first := make([]int32, n) // first[c]: smallest permuted index of class c
+	for c := range first {
+		first[c] = -1
+	}
 	p.twinRep = make([]int32, n)
 	p.twinSib = make([]int32, n)
-	for s := 0; s < n; s++ {
-		p.twinRep[s] = int32(rep[s])
+	for s, o := range perm {
+		c := rep[o]
+		if first[c] < 0 {
+			first[c] = int32(s)
+		}
+		p.twinRep[s] = first[c]
 		p.twinSib[s] = -1
 	}
 	for s := 1; s < n; s++ {

@@ -71,8 +71,9 @@ func Find(m *matrix.Matrix) ([]Set, error) {
 		}
 		cross := 0.0
 		for _, a := range members[ra] {
+			row := m.Row(a)
 			for _, b := range members[rb] {
-				if d := m.At(a, b); d > cross {
+				if d := row[b]; d > cross {
 					cross = d
 				}
 			}

@@ -49,14 +49,16 @@ func ParseReduction(s string) (Reduction, error) {
 }
 
 // GroupDistance condenses the cross distances between species groups a and
-// b of m under the rule.
+// b of m under the rule. Every rule scans a's rows in order, b inner, so
+// Average always sums in the same order.
 func GroupDistance(m *matrix.Matrix, a, b []int, r Reduction) float64 {
 	switch r {
 	case Maximum:
 		best := math.Inf(-1)
 		for _, i := range a {
+			row := m.Row(i)
 			for _, j := range b {
-				if d := m.At(i, j); d > best {
+				if d := row[j]; d > best {
 					best = d
 				}
 			}
@@ -65,8 +67,9 @@ func GroupDistance(m *matrix.Matrix, a, b []int, r Reduction) float64 {
 	case Minimum:
 		best := math.Inf(1)
 		for _, i := range a {
+			row := m.Row(i)
 			for _, j := range b {
-				if d := m.At(i, j); d < best {
+				if d := row[j]; d < best {
 					best = d
 				}
 			}
@@ -75,8 +78,9 @@ func GroupDistance(m *matrix.Matrix, a, b []int, r Reduction) float64 {
 	case Average:
 		sum := 0.0
 		for _, i := range a {
+			row := m.Row(i)
 			for _, j := range b {
-				sum += m.At(i, j)
+				sum += row[j]
 			}
 		}
 		return sum / float64(len(a)*len(b))
@@ -84,8 +88,8 @@ func GroupDistance(m *matrix.Matrix, a, b []int, r Reduction) float64 {
 	panic("compact: invalid reduction")
 }
 
-// GroupName labels a hierarchy child in a reduced matrix: the species name
-// for leaves, "C{...}" for groups.
+// GroupName labels a hierarchy child for display: the species name for
+// leaves, "C{...}" listing every member for groups.
 func GroupName(m *matrix.Matrix, h *Hierarchy) string {
 	if h.IsLeaf() {
 		return m.Name(h.Species())
@@ -95,6 +99,18 @@ func GroupName(m *matrix.Matrix, h *Hierarchy) string {
 		parts[i] = m.Name(v)
 	}
 	return "C{" + strings.Join(parts, ",") + "}"
+}
+
+// rowLabel names a hierarchy child's row in its parent's reduced matrix:
+// the species name for a leaf, and for a group its first member's name
+// inside C{…}. Siblings are disjoint, so no two share a label. The label
+// is short because no output of the pipeline carries it (Graft keeps
+// species indices); GroupName gives the full member list for display.
+func rowLabel(m *matrix.Matrix, h *Hierarchy) string {
+	if h.IsLeaf() {
+		return m.Name(h.Species())
+	}
+	return "C{" + m.Name(h.Members[0]) + "}"
 }
 
 // Reduce builds the small matrix of hierarchy node h over m: one row per
@@ -107,7 +123,7 @@ func Reduce(m *matrix.Matrix, h *Hierarchy, r Reduction) (*matrix.Matrix, []*Hie
 	k := len(h.Children)
 	names := make([]string, k)
 	for i, ch := range h.Children {
-		names[i] = GroupName(m, ch)
+		names[i] = rowLabel(m, ch)
 	}
 	small, err := matrix.NewWithNames(names)
 	if err != nil {

@@ -199,3 +199,101 @@ func TestBuildHierarchyAlloc(t *testing.T) {
 		t.Fatalf("BuildHierarchy allocated %d bytes at n=600, want < %d", got, 1<<20)
 	}
 }
+
+// referenceGroupDistance is GroupDistance read pair by pair through At,
+// a's species outer and b's inner.
+func referenceGroupDistance(m *matrix.Matrix, a, b []int, r Reduction) float64 {
+	switch r {
+	case Maximum:
+		best := math.Inf(-1)
+		for _, i := range a {
+			for _, j := range b {
+				if d := m.At(i, j); d > best {
+					best = d
+				}
+			}
+		}
+		return best
+	case Minimum:
+		best := math.Inf(1)
+		for _, i := range a {
+			for _, j := range b {
+				if d := m.At(i, j); d < best {
+					best = d
+				}
+			}
+		}
+		return best
+	}
+	sum := 0.0
+	for _, i := range a {
+		for _, j := range b {
+			sum += m.At(i, j)
+		}
+	}
+	return sum / float64(len(a)*len(b))
+}
+
+// TestReduceMatchesReference checks every entry of every reduced matrix,
+// at every internal hierarchy node and under all three rules, bit for bit
+// against the At transcription, and that the row labels of each reduced
+// matrix are unique. Besides the integer seqsim matrices, a float-valued
+// one makes Average's summation order show in the last bits.
+func TestReduceMatchesReference(t *testing.T) {
+	mats := []*matrix.Matrix{
+		seqsimMatrix(t, 400, 400),
+		seqsimMatrix(t, 600, 600),
+		matrix.PerturbedUltrametric(rand.New(rand.NewSource(3)), 300, 100, 0.05),
+	}
+	for _, m := range mats {
+		n := m.Len()
+		h, _, err := BuildHierarchy(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := 0
+		var walk func(h *Hierarchy)
+		walk = func(h *Hierarchy) {
+			if h.IsLeaf() {
+				return
+			}
+			nodes++
+			for _, r := range []Reduction{Maximum, Minimum, Average} {
+				small, kids, err := Reduce(m, h, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(kids, h.Children) {
+					t.Fatalf("n=%d: Reduce rows are not the node's children", n)
+				}
+				labels := map[string]bool{}
+				for i := range kids {
+					labels[small.Name(i)] = true
+					for j := range kids {
+						want := 0.0
+						if i != j {
+							// Each unordered pair is condensed once, lower
+							// row first, and mirrored.
+							a, b := kids[min(i, j)], kids[max(i, j)]
+							want = referenceGroupDistance(m, a.Members, b.Members, r)
+						}
+						if got := small.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n=%d %v: entry (%d,%d) of group %v = %v, reference %v",
+								n, r, i, j, h.Members, got, want)
+						}
+					}
+				}
+				if len(labels) != len(kids) {
+					t.Fatalf("n=%d: %d labels for %d rows of group %v", n, len(labels), len(kids), h.Members)
+				}
+			}
+			for _, ch := range h.Children {
+				walk(ch)
+			}
+		}
+		walk(h)
+		if nodes < 20 {
+			t.Fatalf("n=%d: only %d internal nodes; the check wants a deep hierarchy", n, nodes)
+		}
+	}
+}

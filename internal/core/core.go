@@ -38,7 +38,9 @@ type Options struct {
 	// semaphore: each sequential solve costs one unit, each parallel solve
 	// costs one unit per pbb worker it is granted (at least one, at most
 	// Workers), so machine load never exceeds Workers no matter how many
-	// hierarchy nodes are solvable at once.
+	// hierarchy nodes are solvable at once. Workers also sizes the pool
+	// that reduces, solves and grafts the hierarchy nodes, so at most
+	// Workers nodes are in progress at a time.
 	Workers int
 	// BB carries the branch-and-bound options (max–min, 3-3, MaxNodes...).
 	BB bb.Options
@@ -148,9 +150,11 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	res := &Result{CompactSets: sets, Optimal: true}
 	var subID atomic.Int64 // telemetry ids for concurrently solved subproblems
 
-	// Solve the internal hierarchy nodes bottom-up. Independent nodes run
-	// concurrently, bounded by opt.Workers — the "constructing evolutionary
-	// tree in parallel" of the paper's title. The semaphore is weighted in
+	// Solve the internal hierarchy nodes bottom-up from a work list that
+	// at most opt.Workers goroutines drain (see drain), so independent
+	// nodes run concurrently — the "constructing evolutionary tree in
+	// parallel" of the paper's title — and Reduce and Graft stay inside
+	// the worker budget too. The semaphore is weighted in
 	// search-goroutine units: a sequential solve costs one unit and a
 	// parallel solve costs one unit per pbb worker it actually runs, so the
 	// total number of search goroutines never exceeds opt.Workers. (The seed
@@ -160,25 +164,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	var mu sync.Mutex // guards res.Subproblems, res.Stats, firstErr
 	var firstErr error
 
-	var solve func(h *compact.Hierarchy) *tree.Tree
-	solve = func(h *compact.Hierarchy) *tree.Tree {
-		if h.IsLeaf() {
-			return nil
-		}
-		subs := make([]*tree.Tree, len(h.Children))
-		var wg sync.WaitGroup
-		for i, ch := range h.Children {
-			if ch.IsLeaf() {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, ch *compact.Hierarchy) {
-				defer wg.Done()
-				subs[i] = solve(ch)
-			}(i, ch)
-		}
-		wg.Wait()
-
+	solve := func(h *compact.Hierarchy, subs []*tree.Tree) *tree.Tree {
 		id := int(subID.Add(1)) - 1
 		reduceStart := time.Now()
 		small, _, err := compact.Reduce(m, h, opt.Reduction)
@@ -262,7 +248,10 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		return assembled
 	}
 
-	t := solve(hier)
+	var t *tree.Tree
+	if !hier.IsLeaf() {
+		t = drain(hier, opt.Workers, solve)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -282,6 +271,85 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "validate",
 		N: m.Len(), Elapsed: time.Since(validateStart)})
 	return res, nil
+}
+
+// job is one internal hierarchy node on the work list.
+type job struct {
+	h      *compact.Hierarchy
+	parent *job // nil for the root
+	slot   int  // h's index among the parent's children
+	// subs[i] is the assembled tree of child i (nil for a leaf child);
+	// the child's worker stores it before counting itself done.
+	subs []*tree.Tree
+	// pending counts the internal children not yet assembled. The worker
+	// that brings it to zero queues the node.
+	pending atomic.Int32
+}
+
+// drain solves every internal node of hier, children before parents, on
+// min(workers, nodes) goroutines, and returns the root's tree (nil when
+// any solve failed). solve gets a node and its children's trees and
+// returns the node's tree, or nil after recording an error; from the
+// first nil on, the remaining nodes are passed up without solving, so
+// the root is always reached and the queue closed.
+func drain(hier *compact.Hierarchy, workers int, solve func(h *compact.Hierarchy, subs []*tree.Tree) *tree.Tree) *tree.Tree {
+	// The work list in post-order; a node whose children are all leaves
+	// is ready at once.
+	var jobs []*job
+	var add func(h *compact.Hierarchy) *job
+	add = func(h *compact.Hierarchy) *job {
+		j := &job{h: h, subs: make([]*tree.Tree, len(h.Children))}
+		for i, ch := range h.Children {
+			if !ch.IsLeaf() {
+				c := add(ch)
+				c.parent, c.slot = j, i
+				j.pending.Add(1)
+			}
+		}
+		jobs = append(jobs, j)
+		return j
+	}
+	add(hier)
+	// Every node is queued exactly once, so a queue of len(jobs) never
+	// blocks a sender.
+	queue := make(chan *job, len(jobs))
+	for _, j := range jobs {
+		if j.pending.Load() == 0 {
+			queue <- j
+		}
+	}
+	var root *tree.Tree
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(workers, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range queue {
+				var t *tree.Tree
+				if !failed.Load() {
+					if t = solve(j.h, j.subs); t == nil {
+						failed.Store(true)
+					}
+				}
+				if j.parent == nil {
+					// The root comes last: every other node is below it.
+					root = t
+					close(queue)
+					continue
+				}
+				j.parent.subs[j.slot] = t
+				if j.parent.pending.Add(-1) == 0 {
+					queue <- j.parent
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() {
+		return nil
+	}
+	return root
 }
 
 func recordErr(mu *sync.Mutex, dst *error, err error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,5 +237,112 @@ func TestSubproblemSolveTimeExcludesQueueing(t *testing.T) {
 	}
 	if solves > res.Elapsed {
 		t.Fatalf("%d subproblem solves sum to %v, above the %v construction", finished, solves, res.Elapsed)
+	}
+}
+
+// seqsimMatrix is an mtDNA-like Hamming matrix of n species, the
+// decomposition's home ground: a couple of hundred small subproblems.
+func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
+	t.Helper()
+	ds, err := seqsim.Generate(rand.New(rand.NewSource(seed)), seqsim.Params{Species: n, SeqLen: 150, Rate: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.Matrix
+}
+
+// TestSubproblemsInFlightWithinWorkers pins the work list's bound: a
+// subproblem is in flight from its SubproblemStart to its merge PhaseEnd,
+// and at most Workers are in flight at once, because only Workers
+// goroutines take nodes off the list.
+func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
+	m := seqsimMatrix(t, 5, 400)
+	for _, workers := range []int{1, 2, 3} {
+		var mu sync.Mutex
+		inFlight := map[int]bool{}
+		peak, started := 0, 0
+		opt := DefaultOptions(workers)
+		opt.Probe = obs.ProbeFunc(func(ev obs.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case ev.Kind == obs.SubproblemStart:
+				inFlight[ev.Worker] = true
+				started++
+				peak = max(peak, len(inFlight))
+			case ev.Kind == obs.PhaseEnd && ev.Phase == "merge":
+				delete(inFlight, ev.Worker)
+			}
+		})
+		res, err := Construct(m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if started != len(res.Subproblems) || started < 2*workers {
+			t.Fatalf("workers=%d: %d subproblems started, %d solved", workers, started, len(res.Subproblems))
+		}
+		if len(inFlight) != 0 {
+			t.Fatalf("workers=%d: %d subproblems started and never merged", workers, len(inFlight))
+		}
+		if peak > workers {
+			t.Fatalf("workers=%d: %d subproblems in flight at once", workers, peak)
+		}
+	}
+}
+
+// TestWorkerCountsAgree checks that the worker count changes only who
+// solves which node: any count gives the one-worker cost, and every
+// compact set stays a clade.
+func TestWorkerCountsAgree(t *testing.T) {
+	m := seqsimMatrix(t, 5, 400)
+	one, err := Construct(m, DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		res, err := Construct(m, DefaultOptions(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.Cost-one.Cost) > 1e-9 {
+			t.Fatalf("workers=%d: cost %v, one worker %v", workers, res.Cost, one.Cost)
+		}
+		if err := RelationPreserved(res.Tree, res.CompactSets); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(res.Subproblems) != len(one.Subproblems) {
+			t.Fatalf("workers=%d: %d subproblems, one worker %d", workers, len(res.Subproblems), len(one.Subproblems))
+		}
+	}
+}
+
+// TestConstructReportsSubproblemError drives the work list's failure path:
+// a compact set of 70 equidistant species reduces to 70 rows, more than
+// the search accepts, while a sibling set solves normally. Construct must
+// return the search's error for any worker count, not a tree and not hang.
+func TestConstructReportsSubproblemError(t *testing.T) {
+	const big, small = 70, 6
+	um := matrix.RandomUltrametric(rand.New(rand.NewSource(38)), small, 40)
+	m := matrix.New(big + small)
+	for i := 0; i < big+small; i++ {
+		for j := i + 1; j < big+small; j++ {
+			switch {
+			case j < big:
+				m.Set(i, j, 10)
+			case i >= big:
+				m.Set(i, j, um.At(i-big, j-big))
+			default:
+				m.Set(i, j, 100)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 3} {
+		res, err := Construct(m, DefaultOptions(workers))
+		if err == nil {
+			t.Fatalf("workers=%d: got a tree of cost %v, want the oversized subproblem's error", workers, res.Cost)
+		}
+		if !strings.Contains(err.Error(), "exceeds the supported maximum") {
+			t.Fatalf("workers=%d: error %q, want the search's size error", workers, err)
+		}
 	}
 }

@@ -70,11 +70,11 @@ type frontierEntry struct {
 	// PrunedByRule breaks the discarded subproblems down by the rule that
 	// killed them (obs.Rules vocabulary; zero-count rules included so the
 	// schema is stable).
-	PrunedByRule map[string]int64 `json:"pruned_by_rule"`
-	Steals       int64            `json:"steals"`
-	Parks        int64            `json:"parks"`
-	NodeBudget   int64            `json:"node_budget"`
-	Oversubscribed bool           `json:"oversubscribed,omitempty"`
+	PrunedByRule   map[string]int64 `json:"pruned_by_rule"`
+	Steals         int64            `json:"steals"`
+	Parks          int64            `json:"parks"`
+	NodeBudget     int64            `json:"node_budget"`
+	Oversubscribed bool             `json:"oversubscribed,omitempty"`
 	// ReductionVsOff is set on rules-on rows: rules-off expansions over
 	// rules-on expansions for the same matrix. When the rules-off run hit
 	// the budget the value is a lower bound on the true reduction.

@@ -53,10 +53,10 @@ type scalingEntry struct {
 
 // scalingReport is the schema of BENCH_pr5.json.
 type scalingReport struct {
-	Schema    string         `json:"schema"` // "evotree-scaling-bench/v1"
-	GOOS      string         `json:"goos"`
-	GOARCH    string         `json:"goarch"`
-	GoVersion string         `json:"goversion"`
+	Schema    string `json:"schema"` // "evotree-scaling-bench/v1"
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	GoVersion string `json:"goversion"`
 	// NumCPU and GoMaxProcs are recorded separately: in a containerized CI
 	// runner NumCPU reports the host's cores while the cgroup quota (and
 	// hence GOMAXPROCS) may be far smaller — BENCH_pr5.json's "num_cpu": 1
@@ -64,7 +64,7 @@ type scalingReport struct {
 	NumCPU     int            `json:"num_cpu"`
 	GoMaxProcs int            `json:"gomaxprocs"`
 	Baseline   string         `json:"baseline"`
-	Entries   []scalingEntry `json:"entries"`
+	Entries    []scalingEntry `json:"entries"`
 }
 
 func runScaling(cfg Config) (*Figure, error) {
@@ -88,9 +88,9 @@ func runScaling(cfg Config) (*Figure, error) {
 		fig.X = append(fig.X, float64(w))
 	}
 	report := scalingReport{
-		Schema:    "evotree-scaling-bench/v1",
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Schema:     "evotree-scaling-bench/v1",
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),

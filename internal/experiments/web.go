@@ -56,9 +56,9 @@ type webPhase struct {
 
 // webReport is the schema of BENCH_pr7.json.
 type webReport struct {
-	Schema    string     `json:"schema"` // "evotree-web-bench/v1"
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
+	Schema     string     `json:"schema"` // "evotree-web-bench/v1"
+	GOOS       string     `json:"goos"`
+	GOARCH     string     `json:"goarch"`
 	GoVersion  string     `json:"goversion"`
 	NumCPU     int        `json:"num_cpu"`
 	GoMaxProcs int        `json:"gomaxprocs"`
@@ -251,9 +251,9 @@ func runWeb(cfg Config) (*Figure, error) {
 
 	if cfg.BenchOut != "" {
 		report := webReport{
-			Schema:    "evotree-web-bench/v1",
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
+			Schema:     "evotree-web-bench/v1",
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
 			GoVersion:  runtime.Version(),
 			NumCPU:     runtime.NumCPU(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),

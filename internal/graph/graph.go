@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a weighted undirected edge between vertices U < V.
@@ -16,10 +16,11 @@ type Edge struct {
 }
 
 // Weights is the read-only, symmetric distance view a complete graph is
-// induced from. *matrix.Matrix satisfies it.
+// induced from: Row(i)[j] is the weight of edge {i, j}. Callers only read
+// a row, never write it. *matrix.Matrix satisfies it.
 type Weights interface {
 	Len() int
-	At(i, j int) float64
+	Row(i int) []float64
 }
 
 // edgeLess is the strict total order on edges: ascending by weight, ties
@@ -36,7 +37,15 @@ func edgeLess(a, b Edge) bool {
 
 // SortEdges orders edges ascending by weight, breaking ties by endpoints.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(a, b int) bool { return edgeLess(edges[a], edges[b]) })
+	slices.SortFunc(edges, func(a, b Edge) int {
+		switch {
+		case edgeLess(a, b):
+			return -1
+		case edgeLess(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // UnionFind is a disjoint-set forest with union by rank and path
@@ -112,30 +121,43 @@ func MST(w Weights) ([]Edge, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: MST of empty vertex set")
 	}
-	// rest lists the vertices not yet in the tree, and best[v] is the
-	// least edge joining v to it.
+	// rest lists the vertices not yet in the tree in ascending order, so
+	// each row is read front to back. The least edge joining rest[k] to
+	// the tree has weight restW[k] and tree endpoint restFrom[k]; all the
+	// candidates for it touch rest[k], so the strict order ranks two of
+	// equal weight by their tree endpoint alone, and a tie keeps the
+	// smaller one.
 	rest := make([]int, n-1)
-	best := make([]Edge, n)
-	for i := range rest {
-		rest[i] = i + 1
-		best[i+1] = Edge{U: 0, V: i + 1, Weight: w.At(0, i+1)}
+	restW := make([]float64, n-1)
+	restFrom := make([]int, n-1) // all 0: vertex 0 starts the tree
+	row := w.Row(0)
+	for k := range rest {
+		rest[k], restW[k] = k+1, row[k+1]
 	}
 	out := make([]Edge, 0, n-1)
 	for len(rest) > 0 {
-		k, next := 0, best[rest[0]]
-		for i, v := range rest {
-			if edgeLess(best[v], next) {
-				k, next = i, best[v]
+		// The least edge leaving the tree, under the strict order.
+		kn := 0
+		e := Edge{U: min(restFrom[0], rest[0]), V: max(restFrom[0], rest[0]), Weight: restW[0]}
+		for k := 1; k < len(rest); k++ {
+			if wk := restW[k]; wk <= e.Weight {
+				u, v := min(restFrom[k], rest[k]), max(restFrom[k], rest[k])
+				if wk < e.Weight || u < e.U || u == e.U && v < e.V {
+					kn, e = k, Edge{U: u, V: v, Weight: wk}
+				}
 			}
 		}
-		t := rest[k]
-		out = append(out, next)
-		rest[k] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-		for _, v := range rest {
-			e := Edge{U: min(t, v), V: max(t, v), Weight: w.At(t, v)}
-			if edgeLess(e, best[v]) {
-				best[v] = e
+		out = append(out, e)
+		t, last := rest[kn], len(rest)-1
+		copy(rest[kn:], rest[kn+1:])
+		copy(restW[kn:], restW[kn+1:])
+		copy(restFrom[kn:], restFrom[kn+1:])
+		rest, restW, restFrom = rest[:last], restW[:last], restFrom[:last]
+		// t joins the tree: its row may offer cheaper edges.
+		row := w.Row(t)
+		for k, v := range rest {
+			if d := row[v]; d < restW[k] || d == restW[k] && t < restFrom[k] {
+				restW[k], restFrom[k] = d, t
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func completeEdges(w Weights) []Edge {
 	edges := make([]Edge, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, Edge{U: i, V: j, Weight: w.At(i, j)})
+			edges = append(edges, Edge{U: i, V: j, Weight: w.Row(i)[j]})
 		}
 	}
 	SortEdges(edges)

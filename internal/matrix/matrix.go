@@ -86,6 +86,13 @@ func (m *Matrix) Names() []string { return append([]string(nil), m.names...) }
 // At returns the distance between species i and j.
 func (m *Matrix) At(i, j int) float64 { return m.d[i][j] }
 
+// Row returns the distances from species i to every species, indexed by
+// species: Row(i)[j] == At(i, j). It is the matrix's own backing row, not
+// a copy, so a scan over it costs no call per entry. Callers must only
+// read it; writing through it breaks the symmetry every algorithm relies
+// on.
+func (m *Matrix) Row(i int) []float64 { return m.d[i] }
+
 // Set assigns the distance between i and j symmetrically.
 // Setting a diagonal entry to a non-zero value is a programming error and
 // panics.

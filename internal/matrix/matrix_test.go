@@ -26,6 +26,28 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
+// TestRow pins Row's contract: Row(i)[j] is At(i, j), and the row is the
+// matrix's storage, so a later Set shows through it.
+func TestRow(t *testing.T) {
+	m := RandomMetric(rand.New(rand.NewSource(3)), 7, 1, 100)
+	for i := 0; i < m.Len(); i++ {
+		row := m.Row(i)
+		if len(row) != m.Len() {
+			t.Fatalf("row %d has %d entries", i, len(row))
+		}
+		for j, d := range row {
+			if d != m.At(i, j) {
+				t.Fatalf("Row(%d)[%d] = %g, At = %g", i, j, d, m.At(i, j))
+			}
+		}
+	}
+	row := m.Row(2)
+	m.Set(2, 5, 42)
+	if row[5] != 42 {
+		t.Fatal("Row must alias the matrix storage")
+	}
+}
+
 func TestNewWithNamesRejectsBadNames(t *testing.T) {
 	if _, err := NewWithNames([]string{"a", ""}); err == nil {
 		t.Fatal("want error for empty name")

@@ -62,8 +62,8 @@ func newDequeRing(capPow2 int64) *dequeRing {
 	return &dequeRing{mask: capPow2 - 1, slot: make([]atomic.Pointer[bb.PNode], capPow2)}
 }
 
-func (r *dequeRing) get(i int64) *bb.PNode     { return r.slot[i&r.mask].Load() }
-func (r *dequeRing) put(i int64, v *bb.PNode)  { r.slot[i&r.mask].Store(v) }
+func (r *dequeRing) get(i int64) *bb.PNode    { return r.slot[i&r.mask].Load() }
+func (r *dequeRing) put(i int64, v *bb.PNode) { r.slot[i&r.mask].Store(v) }
 
 func (d *deque) init() {
 	d.ring.Store(newDequeRing(dequeInitialCap))
