@@ -219,6 +219,25 @@ func (h *Hierarchy) Count() int {
 	return c
 }
 
+// PostOrder returns the internal nodes under h in post-order, each after
+// its children and h last: the subproblems in the order the decomposition
+// reduces and reports them. Its length is Count.
+func (h *Hierarchy) PostOrder() []*Hierarchy {
+	var out []*Hierarchy
+	var walk func(h *Hierarchy)
+	walk = func(h *Hierarchy) {
+		if h.IsLeaf() {
+			return
+		}
+		for _, ch := range h.Children {
+			walk(ch)
+		}
+		out = append(out, h)
+	}
+	walk(h)
+	return out
+}
+
 // String renders the hierarchy as nested braces, e.g. "{{1 3} 2}".
 func (h *Hierarchy) String() string {
 	if h.IsLeaf() {

@@ -104,7 +104,7 @@ func GroupName(m *matrix.Matrix, h *Hierarchy) string {
 // rowLabel names a hierarchy child's row in its parent's reduced matrix:
 // the species name for a leaf, and for a group its first member's name
 // inside C{…}. Siblings are disjoint, so no two share a label. The label
-// is short because no output of the pipeline carries it (Graft keeps
+// is short because no output of the pipeline carries it (Assemble keeps
 // species indices); GroupName gives the full member list for display.
 func rowLabel(m *matrix.Matrix, h *Hierarchy) string {
 	if h.IsLeaf() {
@@ -137,90 +137,82 @@ func Reduce(m *matrix.Matrix, h *Hierarchy, r Reduction) (*matrix.Matrix, []*Hie
 	return small, h.Children, nil
 }
 
-// Graft assembles the final ultrametric tree from the per-group solutions:
-// groupTree is the tree solved over h's reduced matrix (leaf species =
-// child row index), and subs[i] is the recursively assembled tree for
-// child i (nil for singleton children). Heights are absolute, so grafting
-// a subtree under its attachment parent needs no rescaling; the attachment
-// edge simply spans the height difference. The compactness inequality
-// Max(C) < Min(C, !C) makes that difference non-negative for Maximum
-// reduction; for the other reductions heights are clamped upward if
-// needed, which keeps the tree valid (but possibly infeasible, as the
-// paper's cost comparison expects).
-func Graft(groupTree *tree.Tree, h *Hierarchy, subs []*tree.Tree) (*tree.Tree, error) {
-	if groupTree == nil {
-		// A solver may legitimately return a nil tree (see bb.Result's nil
-		// contract); fail with a diagnosable error instead of panicking on
-		// the first node access.
-		return nil, fmt.Errorf("compact: nil group tree for group %v", h.Members)
+// Assemble writes the decomposed tree of root in one preorder pass.
+// trees[h] is the group tree solved over internal node h's reduced matrix
+// (leaf species = child row index); at a leaf that stands for an internal
+// child the pass descends into that child's group tree, and at a
+// singleton child it writes the species. Heights are absolute, so a
+// child's subtree needs no rescaling under its attachment parent; the
+// attachment edge simply spans the height difference. The compactness
+// inequality Max(C) < Min(C, !C) makes that difference non-negative for
+// Maximum reduction; each height is also clamped to its parent's, so the
+// tree stays valid whatever group trees come in (but possibly
+// infeasible, as the paper's cost comparison expects). A one-species
+// root yields its leaf.
+func Assemble(root *Hierarchy, trees map[*Hierarchy]*tree.Tree) (*tree.Tree, error) {
+	if root.IsLeaf() {
+		return tree.New(root.Species()), nil
 	}
-	if len(subs) != len(h.Children) {
-		return nil, fmt.Errorf("compact: %d subtrees for %d children", len(subs), len(h.Children))
-	}
-	out := &tree.Tree{}
-	var build func(id, parent int, capHeight float64) (int, error)
-	build = func(id, parent int, capHeight float64) (int, error) {
-		n := groupTree.Nodes[id]
-		if n.Species >= 0 {
-			ch := h.Children[n.Species]
-			if ch.IsLeaf() {
-				newID := len(out.Nodes)
-				out.Nodes = append(out.Nodes, tree.Node{
-					Species: ch.Species(), Left: tree.NoNode, Right: tree.NoNode, Parent: parent,
-				})
-				return newID, nil
-			}
-			sub := subs[n.Species]
-			if sub == nil {
-				return 0, fmt.Errorf("compact: missing subtree for group %v", ch.Members)
-			}
-			return graftCopy(out, sub, sub.Root, parent, capHeight), nil
-		}
-		newID := len(out.Nodes)
-		h := n.Height
-		if h > capHeight {
-			h = capHeight // clamp for non-Maximum reductions
-		}
-		out.Nodes = append(out.Nodes, tree.Node{
-			Species: -1, Left: tree.NoNode, Right: tree.NoNode, Parent: parent, Height: h,
-		})
-		l, err := build(n.Left, newID, h)
-		if err != nil {
-			return 0, err
-		}
-		r, err := build(n.Right, newID, h)
-		if err != nil {
-			return 0, err
-		}
-		out.Nodes[newID].Left = l
-		out.Nodes[newID].Right = r
-		return newID, nil
-	}
-	root, err := build(groupTree.Root, tree.NoNode, math.Inf(1))
+	a := assembler{trees: trees, nodes: make([]tree.Node, 0, 2*len(root.Members)-1)}
+	id, err := a.group(root, tree.NoNode, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
-	out.Root = root
-	return out, nil
+	return &tree.Tree{Nodes: a.nodes, Root: id}, nil
 }
 
-// graftCopy copies sub's nodes into dst under parent, clamping heights to
-// capHeight so the result always satisfies height monotonicity.
-func graftCopy(dst, sub *tree.Tree, id, parent int, capHeight float64) int {
-	n := sub.Nodes[id]
-	h := n.Height
-	if h > capHeight {
-		h = capHeight
+// assembler carries Assemble's output and inputs through the recursion.
+type assembler struct {
+	trees map[*Hierarchy]*tree.Tree
+	nodes []tree.Node
+}
+
+// group writes internal node h's group tree under parent and returns the
+// id of its root.
+func (a *assembler) group(h *Hierarchy, parent int, capHeight float64) (int, error) {
+	g := a.trees[h]
+	if g == nil {
+		// A solver may legitimately return a nil tree (see bb.Result's nil
+		// contract); fail with a diagnosable error instead of panicking on
+		// the first node access.
+		return 0, fmt.Errorf("compact: no group tree for group %v", h.Members)
 	}
-	newID := len(dst.Nodes)
-	dst.Nodes = append(dst.Nodes, tree.Node{
-		Species: n.Species, Left: tree.NoNode, Right: tree.NoNode, Parent: parent, Height: h,
+	return a.node(h, g, g.Root, parent, capHeight)
+}
+
+// node writes node id of h's group tree g under parent, clamping its
+// height to capHeight, and returns its new id. The cap is the parent's
+// height as written, so one clamp per node equals grafting each finished
+// subtree into its parent and clamping again at every level above; the
+// > test, unlike min, also keeps a +0 height under a −0 cap as +0.
+func (a *assembler) node(h *Hierarchy, g *tree.Tree, id, parent int, capHeight float64) (int, error) {
+	n := &g.Nodes[id]
+	if n.Species >= 0 {
+		ch := h.Children[n.Species]
+		if !ch.IsLeaf() {
+			return a.group(ch, parent, capHeight)
+		}
+		a.nodes = append(a.nodes, tree.Node{
+			Species: ch.Species(), Left: tree.NoNode, Right: tree.NoNode, Parent: parent,
+		})
+		return len(a.nodes) - 1, nil
+	}
+	height := n.Height
+	if height > capHeight {
+		height = capHeight // a group tree taller than its attachment
+	}
+	newID := len(a.nodes)
+	a.nodes = append(a.nodes, tree.Node{
+		Species: -1, Left: tree.NoNode, Right: tree.NoNode, Parent: parent, Height: height,
 	})
-	if n.Species < 0 {
-		l := graftCopy(dst, sub, n.Left, newID, h)
-		r := graftCopy(dst, sub, n.Right, newID, h)
-		dst.Nodes[newID].Left = l
-		dst.Nodes[newID].Right = r
+	l, err := a.node(h, g, n.Left, newID, height)
+	if err != nil {
+		return 0, err
 	}
-	return newID
+	r, err := a.node(h, g, n.Right, newID, height)
+	if err != nil {
+		return 0, err
+	}
+	a.nodes[newID].Left, a.nodes[newID].Right = l, r
+	return newID, nil
 }

@@ -31,26 +31,30 @@ func TestGroupName(t *testing.T) {
 	}
 }
 
+// pairAndSingleton returns the hierarchy {{0 1} 2} and its internal
+// child {0 1}.
+func pairAndSingleton() (root, pair *Hierarchy) {
+	pair = &Hierarchy{Members: []int{0, 1}, Children: []*Hierarchy{{Members: []int{0}}, {Members: []int{1}}}}
+	return &Hierarchy{Members: []int{0, 1, 2}, Children: []*Hierarchy{pair, {Members: []int{2}}}}, pair
+}
+
 func TestGraftErrors(t *testing.T) {
-	h := &Hierarchy{
-		Members: []int{0, 1, 2},
-		Children: []*Hierarchy{
-			{Members: []int{0, 1}},
-			{Members: []int{2}},
-		},
-	}
+	h, child := pairAndSingleton()
 	groupTree := tree.Join(tree.New(0), tree.New(1), 5)
-	// Wrong subs length.
-	if _, err := Graft(groupTree, h, nil); err == nil {
-		t.Fatal("want error for subs length mismatch")
+	// No group tree for the root, then none (and a nil one) for the
+	// internal child.
+	if _, err := Assemble(h, nil); err == nil {
+		t.Fatal("want error for a missing root group tree")
 	}
-	// Missing subtree for a non-singleton child.
-	if _, err := Graft(groupTree, h, []*tree.Tree{nil, nil}); err == nil {
-		t.Fatal("want error for missing subtree")
+	if _, err := Assemble(h, map[*Hierarchy]*tree.Tree{h: groupTree}); err == nil {
+		t.Fatal("want error for a missing child group tree")
 	}
-	// Proper graft.
+	if _, err := Assemble(h, map[*Hierarchy]*tree.Tree{h: groupTree, child: nil}); err == nil {
+		t.Fatal("want error for a nil child group tree")
+	}
+	// Proper assembly.
 	sub := tree.Join(tree.New(0), tree.New(1), 2)
-	out, err := Graft(groupTree, h, []*tree.Tree{sub, nil})
+	out, err := Assemble(h, map[*Hierarchy]*tree.Tree{h: groupTree, child: sub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +64,8 @@ func TestGraftErrors(t *testing.T) {
 	if got := out.LeafCount(); got != 3 {
 		t.Fatalf("%d leaves", got)
 	}
-	// Species labels come from the hierarchy: {0,1} from sub, 2 from the
-	// singleton child.
+	// Species labels come from the hierarchy: {0,1} from the child's
+	// group tree, 2 from the singleton child.
 	leaves := out.Leaves()
 	seen := map[int]bool{}
 	for _, l := range leaves {
@@ -70,26 +74,25 @@ func TestGraftErrors(t *testing.T) {
 	if !seen[0] || !seen[1] || !seen[2] {
 		t.Fatalf("leaves = %v", leaves)
 	}
+	// A one-species hierarchy is its leaf, with no group tree.
+	leaf, err := Assemble(&Hierarchy{Members: []int{4}}, nil)
+	if err != nil || leaf.LeafCount() != 1 || leaf.Leaves()[0] != 4 {
+		t.Fatalf("one-species assembly = %v, %v", leaf, err)
+	}
 }
 
 func TestGraftClampsOverTallSubtrees(t *testing.T) {
 	// A subtree taller than its attachment parent (possible with Minimum
 	// or Average reductions) is clamped, keeping the tree valid.
-	h := &Hierarchy{
-		Members: []int{0, 1, 2},
-		Children: []*Hierarchy{
-			{Members: []int{0, 1}},
-			{Members: []int{2}},
-		},
-	}
+	h, child := pairAndSingleton()
 	groupTree := tree.Join(tree.New(0), tree.New(1), 3)
 	tall := tree.Join(tree.New(0), tree.New(1), 10) // taller than height 3
-	out, err := Graft(groupTree, h, []*tree.Tree{tall, nil})
+	out, err := Assemble(h, map[*Hierarchy]*tree.Tree{h: groupTree, child: tall})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := out.Validate(1e-9); err != nil {
-		t.Fatalf("clamped graft invalid: %v", err)
+		t.Fatalf("clamped assembly invalid: %v", err)
 	}
 	if out.Height() != 3 {
 		t.Fatalf("root height %g, want 3", out.Height())
@@ -97,35 +100,26 @@ func TestGraftClampsOverTallSubtrees(t *testing.T) {
 }
 
 func TestEndToEndDecompositionMatchesManualAssembly(t *testing.T) {
-	// Solve the paper example manually through Reduce/Graft with UPGMM as
-	// the subproblem solver and check feasibility and relation
+	// Solve the paper example manually through Reduce/Assemble with UPGMM
+	// as the subproblem solver and check feasibility and relation
 	// preservation — the same path core.Construct automates.
 	m := paperExample(t)
 	h, sets, err := BuildHierarchy(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var solve func(h *Hierarchy) *tree.Tree
-	solve = func(h *Hierarchy) *tree.Tree {
-		if h.IsLeaf() {
-			return nil
-		}
-		small, kids, err := Reduce(m, h, Maximum)
+	trees := map[*Hierarchy]*tree.Tree{}
+	for _, g := range h.PostOrder() {
+		small, _, err := Reduce(m, g, Maximum)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs := make([]*tree.Tree, len(kids))
-		for i, ch := range kids {
-			subs[i] = solve(ch)
-		}
-		groupTree := upgma.Build(small, upgma.Maximum)
-		out, err := Graft(groupTree, h, subs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		trees[g] = upgma.Build(small, upgma.Maximum)
 	}
-	out := solve(h)
+	out, err := Assemble(h, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := out.Validate(1e-9); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,8 @@ import (
 	"evotree/internal/graph"
 	"evotree/internal/matrix"
 	"evotree/internal/seqsim"
+	"evotree/internal/tree"
+	"evotree/internal/upgma"
 )
 
 // referenceFind is the direct transcription of the paper's loop: merge
@@ -294,6 +297,235 @@ func TestReduceMatchesReference(t *testing.T) {
 		walk(h)
 		if nodes < 20 {
 			t.Fatalf("n=%d: only %d internal nodes; the check wants a deep hierarchy", n, nodes)
+		}
+	}
+}
+
+// referenceGraft is the per-level merge Assemble replaced: groupTree is
+// the tree solved over h's reduced matrix (leaf species = child row
+// index), and subs[i] is the recursively assembled tree for child i (nil
+// for singleton children). Each subtree is copied under its attachment
+// parent with heights clamped to the attachment height.
+func referenceGraft(groupTree *tree.Tree, h *Hierarchy, subs []*tree.Tree) (*tree.Tree, error) {
+	if groupTree == nil {
+		return nil, fmt.Errorf("compact: nil group tree for group %v", h.Members)
+	}
+	if len(subs) != len(h.Children) {
+		return nil, fmt.Errorf("compact: %d subtrees for %d children", len(subs), len(h.Children))
+	}
+	out := &tree.Tree{}
+	var build func(id, parent int, capHeight float64) (int, error)
+	build = func(id, parent int, capHeight float64) (int, error) {
+		n := groupTree.Nodes[id]
+		if n.Species >= 0 {
+			ch := h.Children[n.Species]
+			if ch.IsLeaf() {
+				newID := len(out.Nodes)
+				out.Nodes = append(out.Nodes, tree.Node{
+					Species: ch.Species(), Left: tree.NoNode, Right: tree.NoNode, Parent: parent,
+				})
+				return newID, nil
+			}
+			sub := subs[n.Species]
+			if sub == nil {
+				return 0, fmt.Errorf("compact: missing subtree for group %v", ch.Members)
+			}
+			return referenceGraftCopy(out, sub, sub.Root, parent, capHeight), nil
+		}
+		newID := len(out.Nodes)
+		h := n.Height
+		if h > capHeight {
+			h = capHeight
+		}
+		out.Nodes = append(out.Nodes, tree.Node{
+			Species: -1, Left: tree.NoNode, Right: tree.NoNode, Parent: parent, Height: h,
+		})
+		l, err := build(n.Left, newID, h)
+		if err != nil {
+			return 0, err
+		}
+		r, err := build(n.Right, newID, h)
+		if err != nil {
+			return 0, err
+		}
+		out.Nodes[newID].Left = l
+		out.Nodes[newID].Right = r
+		return newID, nil
+	}
+	root, err := build(groupTree.Root, tree.NoNode, math.Inf(1))
+	if err != nil {
+		return nil, err
+	}
+	out.Root = root
+	return out, nil
+}
+
+// referenceGraftCopy copies sub's nodes into dst under parent, clamping
+// heights to capHeight.
+func referenceGraftCopy(dst, sub *tree.Tree, id, parent int, capHeight float64) int {
+	n := sub.Nodes[id]
+	h := n.Height
+	if h > capHeight {
+		h = capHeight
+	}
+	newID := len(dst.Nodes)
+	dst.Nodes = append(dst.Nodes, tree.Node{
+		Species: n.Species, Left: tree.NoNode, Right: tree.NoNode, Parent: parent, Height: h,
+	})
+	if n.Species < 0 {
+		l := referenceGraftCopy(dst, sub, n.Left, newID, h)
+		r := referenceGraftCopy(dst, sub, n.Right, newID, h)
+		dst.Nodes[newID].Left = l
+		dst.Nodes[newID].Right = r
+	}
+	return newID
+}
+
+// referenceAssemble grafts the group trees bottom-up with referenceGraft,
+// each finished subtree copied into its parent.
+func referenceAssemble(h *Hierarchy, trees map[*Hierarchy]*tree.Tree) (*tree.Tree, error) {
+	subs := make([]*tree.Tree, len(h.Children))
+	for i, ch := range h.Children {
+		if ch.IsLeaf() {
+			continue
+		}
+		sub, err := referenceAssemble(ch, trees)
+		if err != nil {
+			return nil, err
+		}
+		subs[i] = sub
+	}
+	return referenceGraft(trees[h], h, subs)
+}
+
+// upgmmGroupTrees reduces every internal node of h under r and solves the
+// small matrix with UPGMM.
+func upgmmGroupTrees(t *testing.T, m *matrix.Matrix, h *Hierarchy, r Reduction) map[*Hierarchy]*tree.Tree {
+	t.Helper()
+	trees := map[*Hierarchy]*tree.Tree{}
+	for _, g := range h.PostOrder() {
+		small, _, err := Reduce(m, g, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[g] = upgma.Build(small, upgma.Maximum)
+	}
+	return trees
+}
+
+// overTall counts the internal children whose group tree is taller than
+// the node it hangs from in its parent's group tree: the attachments
+// where the merge has to clamp.
+func overTall(trees map[*Hierarchy]*tree.Tree) int {
+	c := 0
+	for h, g := range trees {
+		for _, n := range g.Nodes {
+			if n.Species < 0 || h.Children[n.Species].IsLeaf() {
+				continue
+			}
+			if trees[h.Children[n.Species]].Height() > g.Nodes[n.Parent].Height {
+				c++
+			}
+		}
+	}
+	return c
+}
+
+// TestAssembleMatchesReference requires Assemble's one pass to write the
+// nodes, layout and height bits of the nested grafts, under all three
+// reductions. UPGMM group trees never hang a child above its attachment
+// (compactness puts every attachment above Max(C)/2), so each input runs
+// a second time with the group trees stretched by random factors, which
+// makes the clamp work at every depth.
+func TestAssembleMatchesReference(t *testing.T) {
+	mats := []*matrix.Matrix{
+		seqsimMatrix(t, 400, 400),
+		seqsimMatrix(t, 600, 600),
+		matrix.PerturbedUltrametric(rand.New(rand.NewSource(3)), 300, 100, 0.05),
+	}
+	rng := rand.New(rand.NewSource(17))
+	for range 50 {
+		mats = append(mats, matrix.PerturbedUltrametric(rng, 2+rng.Intn(40), 100, 0.2))
+	}
+	clamped := 0
+	for _, m := range mats {
+		h, _, err := BuildHierarchy(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Reduction{Maximum, Minimum, Average} {
+			trees := upgmmGroupTrees(t, m, h, r)
+			if c := overTall(trees); c != 0 {
+				t.Fatalf("n=%d %v: %d UPGMM group trees above their attachment", m.Len(), r, c)
+			}
+			stretched := map[*Hierarchy]*tree.Tree{}
+			for _, g := range h.PostOrder() {
+				s := trees[g].Clone()
+				f := []float64{0.5, 1, 2, 4}[rng.Intn(4)]
+				for i := range s.Nodes {
+					s.Nodes[i].Height *= f
+				}
+				stretched[g] = s
+			}
+			clamped += overTall(stretched)
+			matchesNestedGrafts(t, fmt.Sprintf("n=%d %v", m.Len(), r), h, trees)
+			matchesNestedGrafts(t, fmt.Sprintf("n=%d %v stretched", m.Len(), r), h, stretched)
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no stretched group tree rose above its attachment; the clamp went unchecked")
+	}
+	// A +0 height under a −0 cap stays +0.
+	h, child := pairAndSingleton()
+	matchesNestedGrafts(t, "signed zeros", h, map[*Hierarchy]*tree.Tree{
+		h:     tree.Join(tree.New(0), tree.New(1), math.Copysign(0, -1)),
+		child: tree.Join(tree.New(0), tree.New(1), 0),
+	})
+}
+
+// matchesNestedGrafts requires Assemble to return the nested grafts' root
+// and nodes, heights compared bit for bit (DeepEqual takes −0 == +0).
+func matchesNestedGrafts(t *testing.T, name string, h *Hierarchy, trees map[*Hierarchy]*tree.Tree) {
+	t.Helper()
+	want, err := referenceAssemble(h, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Assemble(h, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Root != want.Root || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+		t.Fatalf("%s: Assemble differs from the nested grafts", name)
+	}
+	for i := range got.Nodes {
+		if g, w := got.Nodes[i].Height, want.Nodes[i].Height; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: node %d height %v, nested grafts %v", name, i, g, w)
+		}
+	}
+}
+
+// TestAssembleAlloc pins Assemble's allocations: the tree and its node
+// array, the same at every n.
+func TestAssembleAlloc(t *testing.T) {
+	mats := []*matrix.Matrix{
+		matrix.PerturbedUltrametric(rand.New(rand.NewSource(8)), 8, 100, 0.1),
+		matrix.PerturbedUltrametric(rand.New(rand.NewSource(32)), 32, 100, 0.1),
+		seqsimMatrix(t, 1, 600),
+	}
+	for _, m := range mats {
+		h, _, err := BuildHierarchy(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees := upgmmGroupTrees(t, m, h, Maximum)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Assemble(h, trees); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Fatalf("n=%d: Assemble made %v allocations, want 2", m.Len(), allocs)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,22 +38,24 @@ type Options struct {
 	// costs one unit per pbb worker it is granted (at least one, at most
 	// Workers), so machine load never exceeds Workers no matter how many
 	// hierarchy nodes are solvable at once. Workers also sizes the pool
-	// that reduces, solves and grafts the hierarchy nodes, so at most
-	// Workers nodes are in progress at a time.
+	// that reduces and solves the hierarchy nodes, so at most Workers
+	// nodes are in progress at a time.
 	Workers int
 	// BB carries the branch-and-bound options (max–min, 3-3, MaxNodes...).
 	BB bb.Options
-	// ParallelThreshold routes subproblems with at least this many groups
-	// to the parallel engine (the paper feeds its small matrices to the
-	// parallel branch-and-bound); smaller ones run sequentially to avoid
-	// goroutine overhead. Zero means 12.
-	ParallelThreshold int
 	// Probe, when non-nil, receives pipeline telemetry (phase timings for
 	// compact-set detection, reduction, each subproblem solve, and the
 	// merge) and is propagated to the underlying searches unless BB.Probe
 	// is already set.
 	Probe obs.Probe
 }
+
+// parallelThreshold routes subproblems with at least this many groups to
+// the parallel engine (the paper feeds its small matrices to the parallel
+// branch-and-bound); smaller ones run sequentially to avoid goroutine
+// overhead. Thresholds of 12, 20, 30 and 65 ran the decompose batch within
+// run-to-run noise of each other.
+const parallelThreshold = 12
 
 // DefaultOptions is the paper's configuration: compact sets on, maximum
 // matrices, exact B&B per subproblem.
@@ -147,30 +148,25 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "compact-detect",
 		N: len(sets), Elapsed: time.Since(detectStart)})
-	res := &Result{CompactSets: sets, Optimal: true}
-	var subID atomic.Int64 // telemetry ids for concurrently solved subproblems
 
-	// Solve the internal hierarchy nodes bottom-up from a work list that
-	// at most opt.Workers goroutines drain (see drain), so independent
-	// nodes run concurrently — the "constructing evolutionary tree in
-	// parallel" of the paper's title — and Reduce and Graft stay inside
-	// the worker budget too. The semaphore is weighted in
+	// Reduce and solve the internal hierarchy nodes from a flat list that
+	// at most opt.Workers goroutines claim, so independent nodes run
+	// concurrently — the "constructing evolutionary tree in parallel" of
+	// the paper's title — and Reduce stays inside the worker budget too.
+	// A node needs only the input and its children's members, so any
+	// order works; each result goes to the node's own slot, and the tree
+	// is assembled once all are in. The semaphore is weighted in
 	// search-goroutine units: a sequential solve costs one unit and a
-	// parallel solve costs one unit per pbb worker it actually runs, so the
-	// total number of search goroutines never exceeds opt.Workers. (The seed
-	// implementation accounted one unit per subproblem while each parallel solve
-	// spawned opt.Workers goroutines of its own — Workers² at the worst.)
+	// parallel solve costs one unit per pbb worker it actually runs, so
+	// the total number of search goroutines never exceeds opt.Workers.
 	sem := newWorkerSem(opt.Workers)
-	var mu sync.Mutex // guards res.Subproblems, res.Stats, firstErr
-	var firstErr error
-
-	solve := func(h *compact.Hierarchy, subs []*tree.Tree) *tree.Tree {
-		id := int(subID.Add(1)) - 1
+	// solve reduces internal node h and solves its small matrix; id tags
+	// the node's telemetry events.
+	solve := func(id int, h *compact.Hierarchy) solved {
 		reduceStart := time.Now()
 		small, _, err := compact.Reduce(m, h, opt.Reduction)
 		if err != nil {
-			recordErr(&mu, &firstErr, err)
-			return nil
+			return solved{err: err}
 		}
 		emit(obs.Event{Kind: obs.PhaseEnd, Phase: "reduce", Worker: id,
 			N: small.Len(), Elapsed: time.Since(reduceStart)})
@@ -179,23 +175,15 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		// The searches below restart the clock once the semaphore grants
 		// their workers, so SubproblemFinish.Elapsed excludes queueing.
 		solveStart := time.Now()
-		var groupTree *tree.Tree
-		var stats bb.Stats
-		var sched pbb.SchedStats
-		var cost float64
-		optimal := true
-		threshold := opt.ParallelThreshold
-		if threshold <= 0 {
-			threshold = 12
-		}
+		s := solved{optimal: true}
 		switch {
 		case small.Len() == 1:
-			groupTree = tree.New(0)
-		case small.Len() >= threshold && opt.Workers > 1:
+			s.tree = tree.New(0)
+		case small.Len() >= parallelThreshold && opt.Workers > 1:
 			// Big subproblem: the parallel engine, as in the paper. It runs
-			// with as many workers as the semaphore can spare right now
-			// (at least one), so concurrent subproblems share the worker
-			// budget instead of multiplying it.
+			// with as many workers as the semaphore can spare right now (at
+			// least one), so concurrent subproblems share the worker budget
+			// instead of multiplying it.
 			grant := sem.acquireUpTo(opt.Workers)
 			solveStart = time.Now()
 			pres, err := pbb.Solve(small, pbb.Options{
@@ -203,64 +191,71 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			})
 			sem.release(grant)
 			if err != nil {
-				recordErr(&mu, &firstErr, err)
-				return nil
+				return solved{err: err}
 			}
-			groupTree, cost, stats = pres.Tree, pres.Cost, pres.Stats
-			sched = pres.Sched
-			optimal = pres.Optimal
+			s.tree, s.sub.Cost, s.stats = pres.Tree, pres.Cost, pres.Stats
+			s.sched, s.optimal = pres.Sched, pres.Optimal
 		default:
 			grant := sem.acquireUpTo(1)
 			solveStart = time.Now()
 			sres, err := bb.Solve(small, opt.BB)
 			sem.release(grant)
 			if err != nil {
-				recordErr(&mu, &firstErr, err)
-				return nil
+				return solved{err: err}
 			}
-			groupTree, cost, stats = sres.Tree, sres.Cost, sres.Stats
-			optimal = sres.Optimal
+			s.tree, s.sub.Cost, s.stats = sres.Tree, sres.Cost, sres.Stats
+			s.optimal = sres.Optimal
 		}
 		emit(obs.Event{Kind: obs.SubproblemFinish, Worker: id,
-			N: small.Len(), Value: cost, Elapsed: time.Since(solveStart)})
-		// Translate group-leaf species back to child row indices: bb
-		// preserved row indices as species ids, so nothing to relabel.
-		mergeStart := time.Now()
-		assembled, err := compact.Graft(groupTree, h, subs)
-		if err != nil {
-			recordErr(&mu, &firstErr, err)
-			return nil
-		}
-		emit(obs.Event{Kind: obs.PhaseEnd, Phase: "merge", Worker: id,
-			N: small.Len(), Elapsed: time.Since(mergeStart)})
-		mu.Lock()
-		res.Subproblems = append(res.Subproblems, Subproblem{
-			Group: append([]int(nil), h.Members...),
-			Size:  small.Len(),
-			Cost:  cost,
-		})
-		res.Stats.Add(stats)
-		res.Sched.Add(sched)
-		if !optimal {
-			res.Optimal = false
-		}
-		mu.Unlock()
-		return assembled
+			N: small.Len(), Value: s.sub.Cost, Elapsed: time.Since(solveStart)})
+		s.sub.Group = append([]int(nil), h.Members...)
+		s.sub.Size = small.Len()
+		return s
 	}
 
-	var t *tree.Tree
-	if !hier.IsLeaf() {
-		t = drain(hier, opt.Workers, solve)
+	nodes := hier.PostOrder()
+	slots := make([]solved, len(nodes))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(opt.Workers, len(nodes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// After the first error the remaining nodes are skipped.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(nodes) {
+					return
+				}
+				slots[i] = solve(i, nodes[i])
+				if slots[i].err != nil {
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if t == nil {
-		if m.Len() != 1 {
-			return nil, fmt.Errorf("core: decomposition produced no tree")
+	wg.Wait()
+
+	res := &Result{CompactSets: sets, Optimal: true}
+	trees := make(map[*compact.Hierarchy]*tree.Tree, len(nodes))
+	for i, s := range slots {
+		if s.err != nil {
+			return nil, s.err
 		}
-		t = tree.New(0)
+		trees[nodes[i]] = s.tree
+		res.Subproblems = append(res.Subproblems, s.sub)
+		res.Stats.Add(s.stats)
+		res.Sched.Add(s.sched)
+		res.Optimal = res.Optimal && s.optimal
 	}
+	mergeStart := time.Now()
+	t, err := compact.Assemble(hier, trees)
+	if err != nil {
+		return nil, err
+	}
+	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "merge",
+		N: m.Len(), Elapsed: time.Since(mergeStart)})
 	validateStart := time.Now()
 	t.SetNames(m.Names())
 	res.Tree = t
@@ -273,91 +268,15 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// job is one internal hierarchy node on the work list.
-type job struct {
-	h      *compact.Hierarchy
-	parent *job // nil for the root
-	slot   int  // h's index among the parent's children
-	// subs[i] is the assembled tree of child i (nil for a leaf child);
-	// the child's worker stores it before counting itself done.
-	subs []*tree.Tree
-	// pending counts the internal children not yet assembled. The worker
-	// that brings it to zero queues the node.
-	pending atomic.Int32
-}
-
-// drain solves every internal node of hier, children before parents, on
-// min(workers, nodes) goroutines, and returns the root's tree (nil when
-// any solve failed). solve gets a node and its children's trees and
-// returns the node's tree, or nil after recording an error; from the
-// first nil on, the remaining nodes are passed up without solving, so
-// the root is always reached and the queue closed.
-func drain(hier *compact.Hierarchy, workers int, solve func(h *compact.Hierarchy, subs []*tree.Tree) *tree.Tree) *tree.Tree {
-	// The work list in post-order; a node whose children are all leaves
-	// is ready at once.
-	var jobs []*job
-	var add func(h *compact.Hierarchy) *job
-	add = func(h *compact.Hierarchy) *job {
-		j := &job{h: h, subs: make([]*tree.Tree, len(h.Children))}
-		for i, ch := range h.Children {
-			if !ch.IsLeaf() {
-				c := add(ch)
-				c.parent, c.slot = j, i
-				j.pending.Add(1)
-			}
-		}
-		jobs = append(jobs, j)
-		return j
-	}
-	add(hier)
-	// Every node is queued exactly once, so a queue of len(jobs) never
-	// blocks a sender.
-	queue := make(chan *job, len(jobs))
-	for _, j := range jobs {
-		if j.pending.Load() == 0 {
-			queue <- j
-		}
-	}
-	var root *tree.Tree
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for range min(workers, len(jobs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range queue {
-				var t *tree.Tree
-				if !failed.Load() {
-					if t = solve(j.h, j.subs); t == nil {
-						failed.Store(true)
-					}
-				}
-				if j.parent == nil {
-					// The root comes last: every other node is below it.
-					root = t
-					close(queue)
-					continue
-				}
-				j.parent.subs[j.slot] = t
-				if j.parent.pending.Add(-1) == 0 {
-					queue <- j.parent
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil
-	}
-	return root
-}
-
-func recordErr(mu *sync.Mutex, dst *error, err error) {
-	mu.Lock()
-	if *dst == nil {
-		*dst = err
-	}
-	mu.Unlock()
+// solved is what reducing and solving one internal hierarchy node leaves
+// in the node's slot.
+type solved struct {
+	tree    *tree.Tree // over the node's reduced matrix: leaf species = child row
+	sub     Subproblem
+	stats   bb.Stats
+	sched   pbb.SchedStats
+	optimal bool
+	err     error
 }
 
 // CostGap returns (approx − exact) / exact: the relative cost penalty of
@@ -392,6 +311,3 @@ func Exact(m *matrix.Matrix, workers int) (float64, error) {
 	}
 	return res.Cost, nil
 }
-
-// Infinity guards callers that compare costs before any tree exists.
-var Infinity = math.Inf(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -182,21 +183,60 @@ func TestRelationPreservedDetectsViolation(t *testing.T) {
 	}
 }
 
+// threeBlocks is three compact blocks of 13 species: distances 10 or 11
+// at random inside a block and 100 between blocks. Each block reduces to
+// a 13-row subproblem, at least parallelThreshold, and the ties inside
+// it give the search a few thousand expansions to share out.
+func threeBlocks(seed int64) *matrix.Matrix {
+	const size = 13
+	rng := rand.New(rand.NewSource(seed))
+	m := matrix.New(3 * size)
+	for i := 0; i < m.Len(); i++ {
+		for j := i + 1; j < m.Len(); j++ {
+			d := 100.0
+			if i/size == j/size {
+				d = float64(10 + rng.Intn(2))
+			}
+			m.Set(i, j, d)
+		}
+	}
+	return m
+}
+
 func TestParallelThresholdPath(t *testing.T) {
-	// A decomposition whose top-level reduced matrix is large routes
-	// through the parallel engine; the result must stay correct.
-	rng := rand.New(rand.NewSource(37))
-	m := matrix.PerturbedUltrametric(rng, 16, 100, 0.08)
+	// Subproblems of parallelThreshold groups or more route through the
+	// parallel engine when Workers > 1; the result must match the
+	// sequential engine's.
+	m := threeBlocks(37)
+	var mu sync.Mutex
+	pbbWorkers := 0
 	opt := DefaultOptions(3)
-	opt.ParallelThreshold = 2 // force the parallel path everywhere
+	opt.Probe = obs.ProbeFunc(func(ev obs.Event) {
+		if ev.Kind == obs.WorkerStart {
+			mu.Lock()
+			pbbWorkers++
+			mu.Unlock()
+		}
+	})
 	res, err := Construct(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqOpt := DefaultOptions(1)
-	seq, err := Construct(m, seqOpt)
+	seq, err := Construct(m, DefaultOptions(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pbbWorkers == 0 {
+		t.Fatal("no subproblem reached the parallel engine")
+	}
+	big := 0
+	for _, sp := range res.Subproblems {
+		if sp.Size >= parallelThreshold {
+			big++
+		}
+	}
+	if big != 3 {
+		t.Fatalf("%d subproblems of at least %d rows, want the 3 blocks", big, parallelThreshold)
 	}
 	if math.Abs(res.Cost-seq.Cost) > 1e-9 {
 		t.Fatalf("parallel-path cost %g, sequential-path %g", res.Cost, seq.Cost)
@@ -252,9 +292,9 @@ func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
 }
 
 // TestSubproblemsInFlightWithinWorkers pins the work list's bound: a
-// subproblem is in flight from its SubproblemStart to its merge PhaseEnd,
-// and at most Workers are in flight at once, because only Workers
-// goroutines take nodes off the list.
+// subproblem is in flight from its SubproblemStart to its
+// SubproblemFinish, and at most Workers are in flight at once, because
+// only Workers goroutines take nodes off the list.
 func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 	m := seqsimMatrix(t, 5, 400)
 	for _, workers := range []int{1, 2, 3} {
@@ -270,7 +310,7 @@ func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 				inFlight[ev.Worker] = true
 				started++
 				peak = max(peak, len(inFlight))
-			case ev.Kind == obs.PhaseEnd && ev.Phase == "merge":
+			case ev.Kind == obs.SubproblemFinish:
 				delete(inFlight, ev.Worker)
 			}
 		})
@@ -282,7 +322,7 @@ func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d subproblems started, %d solved", workers, started, len(res.Subproblems))
 		}
 		if len(inFlight) != 0 {
-			t.Fatalf("workers=%d: %d subproblems started and never merged", workers, len(inFlight))
+			t.Fatalf("workers=%d: %d subproblems started and never finished", workers, len(inFlight))
 		}
 		if peak > workers {
 			t.Fatalf("workers=%d: %d subproblems in flight at once", workers, peak)
@@ -291,8 +331,9 @@ func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 }
 
 // TestWorkerCountsAgree checks that the worker count changes only who
-// solves which node: any count gives the one-worker cost, and every
-// compact set stays a clade.
+// solves which node: any count gives the one-worker cost and the
+// one-worker subproblems in the same (post-)order, and every compact set
+// stays a clade.
 func TestWorkerCountsAgree(t *testing.T) {
 	m := seqsimMatrix(t, 5, 400)
 	one, err := Construct(m, DefaultOptions(1))
@@ -312,6 +353,13 @@ func TestWorkerCountsAgree(t *testing.T) {
 		}
 		if len(res.Subproblems) != len(one.Subproblems) {
 			t.Fatalf("workers=%d: %d subproblems, one worker %d", workers, len(res.Subproblems), len(one.Subproblems))
+		}
+		for i, sp := range res.Subproblems {
+			want := one.Subproblems[i]
+			if !slices.Equal(sp.Group, want.Group) || sp.Size != want.Size || math.Abs(sp.Cost-want.Cost) > 1e-9 {
+				t.Fatalf("workers=%d: subproblem %d is %v of size %d, cost %v; one worker %v of size %d, cost %v",
+					workers, i, sp.Group, sp.Size, sp.Cost, want.Group, want.Size, want.Cost)
+			}
 		}
 	}
 }

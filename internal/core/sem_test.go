@@ -75,7 +75,6 @@ func TestWorkerSemNeverOversubscribes(t *testing.T) {
 // goroutines. The probe counts concurrently live pbb workers; the gauge must
 // never exceed Options.Workers.
 func TestSearchGoroutinesStayWithinWorkerBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
 	var mu sync.Mutex
 	live, peak := 0, 0
 	probe := obs.ProbeFunc(func(ev obs.Event) {
@@ -91,26 +90,18 @@ func TestSearchGoroutinesStayWithinWorkerBudget(t *testing.T) {
 			live--
 		}
 	})
+	// Three blocks give three parallel subproblems, solvable at once.
 	const workers = 3
-	sawParallel := false
-	for trial := 0; trial < 6 && !sawParallel; trial++ {
-		m := matrix.PerturbedUltrametric(rng, 14, 100, 0.1)
-		opt := DefaultOptions(workers)
-		opt.ParallelThreshold = 2 // force every subproblem through pbb
-		opt.Probe = probe
-		res, err := Construct(m, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Subproblems) > 1 {
-			sawParallel = true
-		}
-	}
-	if !sawParallel {
-		t.Skip("no multi-subproblem hierarchy across six seeds")
+	opt := DefaultOptions(workers)
+	opt.Probe = probe
+	if _, err := Construct(threeBlocks(50), opt); err != nil {
+		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	if peak == 0 {
+		t.Fatal("no parallel search ran")
+	}
 	if peak > workers {
 		t.Fatalf("peak of %d concurrent search workers exceeds the budget of %d", peak, workers)
 	}
@@ -121,7 +112,7 @@ func TestSearchGoroutinesStayWithinWorkerBudget(t *testing.T) {
 
 // TestConstructWithUnattainableInitialUB pins the end-to-end fallback: an
 // InitialUB below every subproblem optimum used to make the solvers return
-// nil trees, which crashed compact.Graft with a nil dereference. Now each
+// nil trees, which crashed the merge with a nil dereference. Now each
 // solve falls back to its UPGMM incumbent and the pipeline completes.
 func TestConstructWithUnattainableInitialUB(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))

@@ -213,29 +213,16 @@ func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 		}
 		c.hier, c.sets = hier, sets
 		c.matByH = make(map[*compact.Hierarchy]*coordMatrix)
-		var walk func(h *compact.Hierarchy) error
-		walk = func(h *compact.Hierarchy) error {
-			if h.IsLeaf() {
-				return nil
-			}
-			for _, ch := range h.Children {
-				if err := walk(ch); err != nil {
-					return err
-				}
-			}
+		for _, h := range hier.PostOrder() {
 			small, _, err := compact.Reduce(m, h, opt.Reduction)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cm, err := c.addMatrix(small)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			c.matByH[h] = cm
-			return nil
-		}
-		if err := walk(hier); err != nil {
-			return nil, err
 		}
 	} else {
 		if _, err := c.addMatrix(m); err != nil {
@@ -714,10 +701,16 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 
 	var err error
 	if c.opt.Decompose {
-		if c.hier.IsLeaf() {
-			res.Tree = tree.New(c.hier.Species())
-		} else {
-			res.Tree, err = c.graftLocked(c.hier)
+		// Each hierarchy node's incumbent is its group tree; the tree is
+		// assembled from them in one pass, as in the in-process pipeline.
+		trees := make(map[*compact.Hierarchy]*tree.Tree, len(c.matByH))
+		for h, cm := range c.matByH {
+			if trees[h], _, err = c.matrixTreeLocked(cm); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			res.Tree, err = compact.Assemble(c.hier, trees)
 		}
 		if err == nil {
 			res.Tree.SetNames(c.m.Names())
@@ -753,32 +746,6 @@ func (c *Coordinator) matrixTreeLocked(cm *coordMatrix) (*tree.Tree, float64, er
 	}
 	defer cm.np.Put(node)
 	return node.Tree(cm.p), cm.bestCost, nil
-}
-
-// graftLocked assembles the decompose-mode tree bottom-up, exactly like
-// the in-process pipeline: each internal hierarchy node's group tree is
-// grafted over its children's assembled subtrees.
-func (c *Coordinator) graftLocked(h *compact.Hierarchy) (*tree.Tree, error) {
-	if h.IsLeaf() {
-		return nil, nil
-	}
-	subs := make([]*tree.Tree, len(h.Children))
-	for i, ch := range h.Children {
-		if ch.IsLeaf() {
-			continue
-		}
-		sub, err := c.graftLocked(ch)
-		if err != nil {
-			return nil, err
-		}
-		subs[i] = sub
-	}
-	cm := c.matByH[h]
-	groupTree, _, err := c.matrixTreeLocked(cm)
-	if err != nil {
-		return nil, err
-	}
-	return compact.Graft(groupTree, h, subs)
 }
 
 func randomJobID() string {

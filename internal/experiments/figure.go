@@ -124,10 +124,9 @@ type Config struct {
 	Seed    int64
 	Workers int  // parallel workers for real (goroutine) runs
 	Quick   bool // shrink sweeps for tests and -short benchmarks
-	// BenchOut, when non-empty, makes the kernel experiment write its
-	// machine-readable before/after report (the BENCH_pr2.json schema) to
-	// this path. Empty means no file is written, which keeps test runs
-	// side-effect free.
+	// BenchOut, when non-empty, makes the scaling, frontier, web and dist
+	// experiments write their machine-readable report to this path. Empty
+	// means no file is written, which keeps test runs side-effect free.
 	BenchOut string
 }
 

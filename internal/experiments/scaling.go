@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"time"
 
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
@@ -67,6 +68,19 @@ type scalingReport struct {
 	Entries    []scalingEntry `json:"entries"`
 }
 
+// timePerOp returns the mean wall time in nanoseconds of reps calls of
+// fn, after one warm-up call (pools, code paths) outside the measured
+// window.
+func timePerOp(reps int, fn func()) float64 {
+	fn()
+	runtime.GC()
+	start := time.Now()
+	for i := 0; i < reps; i++ {
+		fn()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(reps)
+}
+
 func runScaling(cfg Config) (*Figure, error) {
 	sizes := []int{13, 16}
 	sweep := []int{1, 2, 4, 8}
@@ -97,8 +111,8 @@ func runScaling(cfg Config) (*Figure, error) {
 		Baseline:   "centralized-pool scheduler of BENCH_pr2.json (commit cc49190), same harness and matrices",
 	}
 	for _, n := range sizes {
-		// Seed 3 matches the kernel experiment and the go-test benchmarks in
-		// internal/bb and internal/pbb, so rows are comparable across reports.
+		// Seed 3 matches the go-test benchmarks in internal/bb and
+		// internal/pbb, so rows are comparable across reports.
 		m := matrix.Random0100(rand.New(rand.NewSource(3)), n)
 		p, err := bb.NewProblem(m, true)
 		if err != nil {
@@ -107,7 +121,7 @@ func runScaling(cfg Config) (*Figure, error) {
 		seqCost := p.SolveSequential(bb.DefaultOptions()).Cost
 		for _, w := range sweep {
 			var res *pbb.Result
-			nums := measureKernel(reps, func() {
+			nsPerOp := timePerOp(reps, func() {
 				r, perr := pbb.Solve(m, pbb.DefaultOptions(w))
 				if perr != nil {
 					err = perr
@@ -126,15 +140,15 @@ func runScaling(cfg Config) (*Figure, error) {
 			e := scalingEntry{
 				N:              n,
 				Workers:        w,
-				NsPerOp:        nums.NsPerOp,
+				NsPerOp:        nsPerOp,
 				NodesPerOp:     res.Stats.Expanded,
 				OptimalCost:    res.Cost,
 				Steals:         res.Sched.Steals,
 				Parks:          res.Sched.Parks,
 				Oversubscribed: w > runtime.GOMAXPROCS(0),
 			}
-			if nums.NsPerOp > 0 {
-				e.NodesPerSec = float64(res.Stats.Expanded) / (nums.NsPerOp / 1e9)
+			if nsPerOp > 0 {
+				e.NodesPerSec = float64(res.Stats.Expanded) / (nsPerOp / 1e9)
 			}
 			if base, ok := scalingBaseline[fmt.Sprintf("n=%d/workers=%d", n, w)]; ok {
 				e.BaselineNodesPerSec = base

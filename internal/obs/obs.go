@@ -76,9 +76,10 @@ const (
 	PhaseStart
 	PhaseEnd
 	// SubproblemStart/SubproblemFinish bracket one reduced matrix solved
-	// during decomposition. Worker carries a sequential subproblem id, N
-	// the reduced matrix size; SubproblemFinish carries the solve
-	// duration in Elapsed and the subtree cost in Value.
+	// during decomposition. Worker carries the subproblem's index in
+	// core.Result.Subproblems (post-order), N the reduced matrix size;
+	// SubproblemFinish carries the solve duration in Elapsed and the
+	// subtree cost in Value.
 	SubproblemStart
 	SubproblemFinish
 

@@ -293,51 +293,6 @@ func copyInto(dst, src *Tree, id, parent int) int {
 	return newID
 }
 
-// ReplaceLeaf returns a copy of t in which the leaf labeled species s is
-// replaced by the subtree sub. The attachment edge is shortened by sub's
-// root height so the result remains ultrametric; it is the caller's
-// responsibility (guaranteed by compact-set merging) that the attachment
-// parent's height is at least sub's height. Species labels inside sub are
-// kept as-is.
-func ReplaceLeaf(t *Tree, s int, sub *Tree) (*Tree, error) {
-	leaf := t.leafNode(s)
-	if leaf == NoNode {
-		return nil, fmt.Errorf("tree: ReplaceLeaf: species %d not found", s)
-	}
-	parent := t.Nodes[leaf].Parent
-	if parent != NoNode && t.Nodes[parent].Height < sub.Height() {
-		return nil, fmt.Errorf("tree: ReplaceLeaf: subtree height %g exceeds attachment height %g",
-			sub.Height(), t.Nodes[parent].Height)
-	}
-	out := &Tree{names: t.names}
-	var build func(id, newParent int) int
-	build = func(id, newParent int) int {
-		if id == leaf {
-			r := copyInto(out, sub, sub.Root, newParent)
-			return r
-		}
-		n := t.Nodes[id]
-		newID := len(out.Nodes)
-		out.Nodes = append(out.Nodes, Node{
-			Species: n.Species, Left: NoNode, Right: NoNode, Parent: newParent, Height: n.Height,
-		})
-		if n.Species < 0 {
-			l := build(n.Left, newID)
-			r := build(n.Right, newID)
-			out.Nodes[newID].Left = l
-			out.Nodes[newID].Right = r
-		}
-		return newID
-	}
-	out.Root = build(t.Root, NoNode)
-	if t.Root == leaf {
-		// The whole tree was the single leaf; result is just sub.
-		out = sub.Clone()
-		out.names = t.names
-	}
-	return out, nil
-}
-
 // RelabelSpecies returns a copy of t with each leaf species s replaced by
 // mapping[s]. Used to translate trees built on reduced or permuted matrices
 // back to original species indices.

@@ -266,50 +266,6 @@ func TestInducedMatrixAt(t *testing.T) {
 	}
 }
 
-func TestReplaceLeaf(t *testing.T) {
-	// Tree over species {0, 1, 9}: replace leaf 9 by a subtree over {2,3}.
-	tr := Join(Join(New(0), New(1), 1), New(9), 4)
-	sub := Join(New(2), New(3), 2)
-	out, err := ReplaceLeaf(tr, 9, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.LeafCount(); got != 4 {
-		t.Fatalf("LeafCount = %d", got)
-	}
-	// The grafted subtree keeps its absolute heights: LCA(2,3) at height 2.
-	if h := out.Nodes[out.LCA(2, 3)].Height; h != 2 {
-		t.Fatalf("grafted LCA height = %g", h)
-	}
-	if h := out.Nodes[out.LCA(0, 2)].Height; h != 4 {
-		t.Fatalf("cross LCA height = %g", h)
-	}
-	// Replacing a leaf that does not exist fails.
-	if _, err := ReplaceLeaf(tr, 77, sub); err == nil {
-		t.Fatal("want error for absent species")
-	}
-	// A subtree taller than the attachment parent is rejected.
-	tall := Join(New(5), New(6), 100)
-	if _, err := ReplaceLeaf(tr, 9, tall); err == nil {
-		t.Fatal("want error for over-tall subtree")
-	}
-}
-
-func TestReplaceLeafOfSingleLeafTree(t *testing.T) {
-	tr := New(3)
-	sub := Join(New(1), New(2), 5)
-	out, err := ReplaceLeaf(tr, 3, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.LeafCount() != 2 || out.Height() != 5 {
-		t.Fatalf("got %d leaves, height %g", out.LeafCount(), out.Height())
-	}
-}
-
 func TestRelabelSpecies(t *testing.T) {
 	tr := Join(New(0), New(1), 1)
 	out := tr.RelabelSpecies([]int{5, 9})
