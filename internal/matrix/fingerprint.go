@@ -1,10 +1,12 @@
 package matrix
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -30,7 +32,9 @@ import (
 //     are split by the multiset of (neighbor class, distance) pairs
 //     until stable. The stable partition is equivariant — it depends
 //     only on the distances, not the labeling — and on generic data it
-//     is already discrete.
+//     is already discrete, often from the first stage on. Signatures
+//     are flat uint64 rows ranked by sorting, and refinement stops as
+//     soon as the partition is discrete.
 //   - Individualization search: within the stable classes, a bounded
 //     branch-and-bound picks the species ordering (class blocks first,
 //     by class) whose distance sequence is lexicographically minimal.
@@ -42,7 +46,9 @@ import (
 //     duplicated species) linear instead of factorial. A node budget
 //     bounds adversarial inputs; on exhaustion the refinement order is
 //     used as-is — deterministic and still sound for caching, merely no
-//     longer guaranteed invariant.
+//     longer guaranteed invariant. A discrete partition leaves the search
+//     one candidate per position, so its class order is read off
+//     directly.
 
 const canonSearchBudget = 1 << 20 // DFS nodes before giving up on exact canonicalization
 
@@ -62,6 +68,14 @@ func (m *Matrix) CanonicalPermutation() []int {
 		return perm
 	}
 	class := m.wlClasses()
+	if slices.Max(class) == n-1 {
+		// Discrete: at depth k canonSearch has exactly one candidate, the
+		// species of class k, so its ordering is the class order.
+		for i, c := range class {
+			perm[c] = i
+		}
+		return perm
+	}
 	if best, ok := m.canonSearch(class); ok {
 		return best
 	}
@@ -72,55 +86,88 @@ func (m *Matrix) CanonicalPermutation() []int {
 }
 
 // wlClasses computes the stable refinement partition: class[i] is species
-// i's class, densely numbered in canonical (signature-sorted) order.
+// i's class, densely numbered in ascending signature order.
 func (m *Matrix) wlClasses() []int {
 	n := m.Len()
 	class := make([]int, n)
-	sigs := make([]string, n)
+	idx := make([]int, n)
 
 	// Initial partition: the sorted multiset of each row's distances.
-	row := make([]uint64, n-1)
-	for i := 0; i < n; i++ {
-		k := 0
-		for j := 0; j < n; j++ {
+	w := n - 1
+	rows := make([]uint64, n*w)
+	for i, d := range m.d {
+		row := rows[i*w : i*w : (i+1)*w]
+		for j, v := range d {
 			if j != i {
-				row[k] = math.Float64bits(m.d[i][j])
-				k++
+				row = append(row, math.Float64bits(v))
 			}
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		sigs[i] = u64String(row)
+		slices.Sort(row)
 	}
-	classes := rerank(sigs, class)
+	classes := rankRows(rows, w, idx, class)
+	if classes == n {
+		return class
+	}
 
 	// Refine: re-key each species by its own class followed by the sorted
 	// multiset of its (neighbor class, distance) pairs, until the class
 	// count stabilizes. Including the own class makes each round a true
-	// refinement (classes can only split, never merge), so an unchanged
-	// class count means an unchanged partition and the loop runs at most
-	// n-1 effective rounds.
-	pair := make([]uint64, 2*(n-1)+1)
-	for round := 0; round < n; round++ {
-		for i := 0; i < n; i++ {
-			pair[0] = uint64(class[i])
-			k := 1
-			for j := 0; j < n; j++ {
+	// refinement (classes can only split, never merge, and keep their
+	// relative order), so an unchanged class count means an unchanged
+	// numbering, and a discrete partition cannot change at all. The loop
+	// stops on either and runs at most n-1 effective rounds.
+	w = 2*(n-1) + 1
+	sigs := make([]uint64, n*w)
+	pairs := make([][2]uint64, n-1)
+	for round := 0; round < n && classes < n; round++ {
+		for i, d := range m.d {
+			k := 0
+			for j, v := range d {
 				if j != i {
-					pair[k] = uint64(class[j])
-					pair[k+1] = math.Float64bits(m.d[i][j])
-					k += 2
+					pairs[k] = [2]uint64{uint64(class[j]), math.Float64bits(v)}
+					k++
 				}
 			}
-			sortPairs(pair[1:])
-			sigs[i] = u64String(pair)
+			slices.SortFunc(pairs, func(a, b [2]uint64) int {
+				if c := cmp.Compare(a[0], b[0]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a[1], b[1])
+			})
+			sig := sigs[i*w : i*w+1 : (i+1)*w]
+			sig[0] = uint64(class[i])
+			for _, p := range pairs {
+				sig = append(sig, p[0], p[1])
+			}
 		}
-		next := rerank(sigs, class)
+		next := rankRows(sigs, w, idx, class)
 		if next == classes {
 			break
 		}
 		classes = next
 	}
 	return class
+}
+
+// rankRows densely numbers the w-wide rows of flat in ascending
+// lexicographic order: class[i] counts the distinct rows below row i. It
+// returns the number of distinct rows; idx is scratch, one entry per row.
+// The numbering fixes the canonical order and so evoweb's cache keys:
+// changing this order changes every key.
+func rankRows(flat []uint64, w int, idx, class []int) int {
+	row := func(i int) []uint64 { return flat[i*w : (i+1)*w] }
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int { return slices.Compare(row(a), row(b)) })
+	c := 0
+	for k, i := range idx {
+		if k > 0 && !slices.Equal(row(idx[k-1]), row(i)) {
+			c++
+		}
+		class[i] = c
+	}
+	return c + 1
 }
 
 // twinReps collapses "twin" species — same class and identical distances
@@ -195,6 +242,11 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 		bestSeq  []uint64
 		budget   = canonSearchBudget
 		overflow bool
+		// Scratch shared by every node. A depth's candidate list stays
+		// live while its children run, so each depth keeps its own.
+		block    = make([]uint64, n)
+		minBlock = make([]uint64, 0, n)
+		cands    = make([][]int, n)
 	)
 
 	var dfs func(better bool)
@@ -225,10 +277,10 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 				minClass = class[v]
 			}
 		}
-		var cands []int
-		minBlock := make([]uint64, 0, k)
+		cs := cands[k][:0]
+		minBlock = minBlock[:0]
 		haveMin := false
-		block := make([]uint64, k)
+		block := block[:k]
 		for v := 0; v < n; v++ {
 			if used[v] || class[v] != minClass {
 				continue
@@ -250,22 +302,23 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 			}
 			c := -1
 			if haveMin {
-				c = cmpU64(block, minBlock)
+				c = slices.Compare(block, minBlock)
 			}
 			switch {
 			case c < 0:
 				haveMin = true
 				minBlock = append(minBlock[:0], block...)
-				cands = append(cands[:0], v)
+				cs = append(cs[:0], v)
 			case c == 0:
-				cands = append(cands, v)
+				cs = append(cs, v)
 			}
 		}
+		cands[k] = cs
 		// All surviving candidates share the identical block, so one
 		// bound check covers the whole node.
 		childBetter := better
 		if !better && best != nil {
-			switch cmpU64(minBlock, bestSeq[len(curSeq):len(curSeq)+k]) {
+			switch slices.Compare(minBlock, bestSeq[len(curSeq):len(curSeq)+k]) {
 			case 1:
 				return // every completion is worse than best
 			case -1:
@@ -273,7 +326,7 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 			}
 		}
 		curSeq = append(curSeq, minBlock...)
-		for _, v := range cands {
+		for _, v := range cs {
 			cur = append(cur, v)
 			used[v] = true
 			dfs(childBetter)
@@ -287,65 +340,6 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 		return nil, false
 	}
 	return best, true
-}
-
-// cmpU64 lexicographically compares equal-length uint64 slices.
-func cmpU64(a, b []uint64) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// rerank densely renumbers class in the sort order of sigs and returns
-// the class count.
-func rerank(sigs []string, class []int) int {
-	uniq := append([]string(nil), sigs...)
-	sort.Strings(uniq)
-	rank := make(map[string]int, len(uniq))
-	for _, s := range uniq {
-		if _, ok := rank[s]; !ok {
-			rank[s] = len(rank)
-		}
-	}
-	for i, s := range sigs {
-		class[i] = rank[s]
-	}
-	return len(rank)
-}
-
-// sortPairs sorts a flat [c0,d0,c1,d1,...] slice by (c,d) pairs.
-func sortPairs(p []uint64) {
-	n := len(p) / 2
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if p[2*idx[a]] != p[2*idx[b]] {
-			return p[2*idx[a]] < p[2*idx[b]]
-		}
-		return p[2*idx[a]+1] < p[2*idx[b]+1]
-	})
-	out := make([]uint64, len(p))
-	for k, i := range idx {
-		out[2*k], out[2*k+1] = p[2*i], p[2*i+1]
-	}
-	copy(p, out)
-}
-
-// u64String packs a uint64 slice into a string usable as a map key.
-func u64String(v []uint64) string {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(b[8*i:], x)
-	}
-	return string(b)
 }
 
 // Fingerprint returns a hex SHA-256 over the canonical relabeling of m:
@@ -365,17 +359,16 @@ func (m *Matrix) Fingerprint() string {
 func (m *Matrix) CanonicalFingerprint() (string, []int) {
 	perm := m.CanonicalPermutation()
 	n := m.Len()
-	h := sha256.New()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(n))
-	h.Write(buf[:])
-	// Full canonical matrix, upper triangle (symmetry makes the rest
-	// redundant), row by row in canonical order.
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(m.d[perm[a]][perm[b]]))
-			h.Write(buf[:])
+	// n, then the canonical matrix's upper triangle (symmetry makes the
+	// rest redundant) row by row, each as 8 big-endian bytes.
+	buf := make([]byte, 0, 8*(1+n*(n-1)/2))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+	for a, pa := range perm {
+		row := m.d[pa]
+		for _, pb := range perm[a+1:] {
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(row[pb]))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), perm
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:]), perm
 }

@@ -199,25 +199,30 @@ func TestFingerprintSymmetricAdversaries(t *testing.T) {
 		}
 		check(fmt.Sprintf("perfect ultrametric n=%d", n), m, 4)
 	}
-	// d(0,1)=6, d(2,3)=19, cross distances {7,13}: the only non-trivial
-	// automorphism is (0 1)(2 3) — swapping inside one refinement class
-	// forces a swap in the other.
-	m := New(4)
-	m.Set(0, 1, 6)
-	m.Set(0, 2, 7)
-	m.Set(0, 3, 13)
-	m.Set(1, 2, 13)
-	m.Set(1, 3, 7)
-	m.Set(2, 3, 19)
-	check("coordinated double swap", m, 24)
+	check("coordinated double swap", coordinatedDoubleSwap(), 24)
 }
 
+// BenchmarkFingerprint times one fingerprint on generic data, where the
+// first partition is discrete (Random0100, and PerturbedUltrametric at
+// the sizes evoweb's benchmark sends), and on heavy-tie data that needs
+// refinement rounds (RandomMetric(1,3)).
 func BenchmarkFingerprint(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	m := Random0100(rng, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Fingerprint()
+	for _, bc := range []struct {
+		name string
+		gen  func(rng *rand.Rand) *Matrix
+	}{
+		{"Random0100/n=32", func(rng *rand.Rand) *Matrix { return Random0100(rng, 32) }},
+		{"PerturbedUltrametric/n=20", func(rng *rand.Rand) *Matrix { return PerturbedUltrametric(rng, 20, 100, 0.8) }},
+		{"PerturbedUltrametric/n=32", func(rng *rand.Rand) *Matrix { return PerturbedUltrametric(rng, 32, 100, 0.8) }},
+		{"RandomMetric(1,3)/n=32", func(rng *rand.Rand) *Matrix { return RandomMetric(rng, 32, 1, 3) }},
+	} {
+		m := bc.gen(rand.New(rand.NewSource(3)))
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Fingerprint()
+			}
+		})
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // Whitespace separates fields; blank lines and lines starting with '#' are
 // ignored. The parsed matrix must pass Check.
 func Parse(r io.Reader) (*Matrix, error) {
+	// A nil buffer starts at bufio's 4 KiB and grows to the line cap, so
+	// a small matrix does not pay for a large buffer.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	line, err := nextLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("matrix: missing header: %w", err)

@@ -11,6 +11,7 @@ import (
 
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
+	"evotree/internal/tree"
 )
 
 // TestCacheHitAcrossPermutation: a relabeled, row/column-permuted copy of
@@ -62,6 +63,44 @@ z 8 8 2 0
 	}
 }
 
+// TestServedTreeFitsRequest: a solve runs on the canonical relabeling of
+// the submitting request's matrix, and every response names the species
+// in canonical order, so the tree served for the miss and for a permuted
+// copy served from the cache both fit their own request's matrix, name by
+// name.
+func TestServedTreeFitsRequest(t *testing.T) {
+	s := NewServer()
+	h := s.Handler()
+	defer s.Close()
+
+	rng := rand.New(rand.NewSource(5))
+	m := matrix.Random0100(rng, 8)
+	for i, req := range []*matrix.Matrix{m, m.Relabel(rng.Perm(8))} {
+		_, resp := postJSON(t, h, `{"matrix":`+jsonString(req.String())+`,"algorithm":"bb"}`)
+		if resp == nil {
+			t.Fatalf("request %d failed", i)
+		}
+		if resp.Cached != (i == 1) {
+			t.Fatalf("request %d: cached = %v", i, resp.Cached)
+		}
+		tr, err := tree.ParseNewick(resp.Newick, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := map[string]int{}
+		for k, name := range req.Names() {
+			index[name] = k
+		}
+		order := make([]int, req.Len())
+		for k := range order {
+			order[k] = index[tr.SpeciesName(k)]
+		}
+		if !tr.Feasible(req.Relabel(order), 1e-6) {
+			t.Fatalf("request %d: tree %s does not fit the matrix sent", i, resp.Newick)
+		}
+	}
+}
+
 // TestCacheKeyedBySpec: equal matrices with different solve options must
 // not share results.
 func TestCacheKeyedBySpec(t *testing.T) {
@@ -104,13 +143,14 @@ func TestCoalescingSingleSolve(t *testing.T) {
 	defer sv.close()
 
 	m := matrix.Random0100(rand.New(rand.NewSource(1)), 4)
+	perm := []int{0, 1, 2, 3} // the stub run ignores the matrix; any order does
 	var wg sync.WaitGroup
 	entries := make([]*solveEntry, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tk, err := sv.submit("k", m, solveSpec{algorithm: "bb"})
+			tk, err := sv.submit("k", m, perm, solveSpec{algorithm: "bb"})
 			if err != nil {
 				t.Errorf("waiter %d shed: %v", i, err)
 				return
@@ -164,13 +204,14 @@ func TestAdmissionControlSheds(t *testing.T) {
 	defer sv.close()
 
 	m := matrix.Random0100(rand.New(rand.NewSource(2)), 4)
+	perm := []int{0, 1, 2, 3} // the stub run ignores the matrix; any order does
 	var admitted []*task
 	shed := 0
 	// Keep submitting distinct keys until one is shed: the worker holds
 	// one task at the gate, the queue holds one, everything past that
 	// must bounce.
 	for i := 0; i < 10; i++ {
-		tk, err := sv.submit(fmt.Sprintf("k%d", i), m, solveSpec{algorithm: "bb"})
+		tk, err := sv.submit(fmt.Sprintf("k%d", i), m, perm, solveSpec{algorithm: "bb"})
 		if err != nil {
 			shed++
 			continue
@@ -214,7 +255,8 @@ func TestAbandonedInQueueNeverRuns(t *testing.T) {
 	defer sv.close()
 
 	m := matrix.Random0100(rand.New(rand.NewSource(3)), 4)
-	blocker, err := sv.submit("blocker", m, solveSpec{algorithm: "bb"})
+	perm := []int{0, 1, 2, 3} // the stub run ignores the matrix; any order does
+	blocker, err := sv.submit("blocker", m, perm, solveSpec{algorithm: "bb"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +268,7 @@ func TestAbandonedInQueueNeverRuns(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	queued, err := sv.submit("queued", m, solveSpec{algorithm: "bb"})
+	queued, err := sv.submit("queued", m, perm, solveSpec{algorithm: "bb"})
 	if err != nil {
 		t.Fatal(err)
 	}

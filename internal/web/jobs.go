@@ -181,7 +181,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	t, err := s.solver.submit(pr.key, pr.mc, pr.spec)
+	t, err := s.solver.submit(pr.key, pr.m, pr.perm, pr.spec)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, err)

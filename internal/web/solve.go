@@ -49,13 +49,14 @@ const (
 	taskDone
 )
 
-// task is one admitted solve: a canonical matrix plus options, a
-// refcounted cancellation context shared by every request coalesced onto
-// it, and the completion record.
+// task is one admitted solve: a matrix with its canonical order, plus
+// options, a refcounted cancellation context shared by every request
+// coalesced onto it, and the completion record.
 type task struct {
-	id   string // solve id, stamped onto telemetry events (obs.Event.Job)
-	key  string // cache key (fingerprint + spec)
-	mc   *matrix.Matrix
+	id   string         // solve id, stamped onto telemetry events (obs.Event.Job)
+	key  string         // cache key (fingerprint + spec)
+	m    *matrix.Matrix // the submitting request's matrix
+	perm []int          // canonical order: the solve runs on m.Relabel(perm)
 	spec solveSpec
 
 	ctx    context.Context
@@ -136,7 +137,7 @@ func newSolver(workers, queueDepth, cacheSize int, deadline time.Duration,
 // or a freshly enqueued one. Every non-error return holds one reference
 // the caller MUST release with detach, even after completion. errBusy
 // means the queue was full and nothing was admitted.
-func (s *solver) submit(key string, mc *matrix.Matrix, spec solveSpec) (*task, error) {
+func (s *solver) submit(key string, m *matrix.Matrix, perm []int, spec solveSpec) (*task, error) {
 	s.mu.Lock()
 	if e, ok := s.cache.get(key); ok {
 		s.mu.Unlock()
@@ -158,7 +159,8 @@ func (s *solver) submit(key string, mc *matrix.Matrix, spec solveSpec) (*task, e
 	t := &task{
 		id:       fmt.Sprintf("t%d", s.nextID.Add(1)),
 		key:      key,
-		mc:       mc,
+		m:        m,
+		perm:     perm,
 		spec:     spec,
 		ctx:      ctx,
 		cancel:   cancel,
@@ -216,7 +218,7 @@ func (s *solver) runTask(t *task) {
 		t.state.Store(taskRunning)
 		s.active.Add(1)
 		s.solves.Inc()
-		e, err = s.run(t.ctx, t.mc, t.spec, t.id)
+		e, err = s.run(t.ctx, t.m.Relabel(t.perm), t.spec, t.id)
 		s.active.Add(-1)
 	}
 	s.mu.Lock()

@@ -216,7 +216,8 @@ type Response struct {
 // prepared is a validated request reduced to canonical coordinates.
 type prepared struct {
 	key   string         // cache key: fingerprint | algorithm | 3-3 flag
-	mc    *matrix.Matrix // canonical relabeling of the input matrix
+	m     *matrix.Matrix // the input matrix, in the request's order
+	perm  []int          // canonical order: index k holds m's species perm[k]
 	spec  solveSpec
 	names []string // the request's species names in canonical order
 	svg   bool
@@ -246,14 +247,20 @@ func (s *Server) prepare(req *Request) (*prepared, int, error) {
 		return nil, http.StatusUnprocessableEntity,
 			fmt.Errorf("unknown algorithm %q (want compact|bb|upgma|upgmm)", algo)
 	}
+	// Only a solve reads the canonical matrix, so the solver builds it
+	// when a task runs; a cache hit or a coalesced request needs just the
+	// names.
 	fp, perm := m.CanonicalFingerprint()
-	mc := m.Relabel(perm)
-	spec := solveSpec{algorithm: algo, threeThree: req.ThreeThree}
+	names := make([]string, len(perm))
+	for k, p := range perm {
+		names[k] = m.Name(p)
+	}
 	return &prepared{
 		key:   fmt.Sprintf("%s|%s|%t", fp, algo, req.ThreeThree),
-		mc:    mc,
-		spec:  spec,
-		names: mc.Names(),
+		m:     m,
+		perm:  perm,
+		spec:  solveSpec{algorithm: algo, threeThree: req.ThreeThree},
+		names: names,
 		svg:   req.SVG,
 	}, 0, nil
 }
@@ -270,7 +277,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	t, err := s.solver.submit(pr.key, pr.mc, pr.spec)
+	t, err := s.solver.submit(pr.key, pr.m, pr.perm, pr.spec)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, err)
