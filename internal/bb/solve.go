@@ -185,24 +185,10 @@ func (p *Problem) SolveSequential(opt Options) *Result {
 	return p.solve(opt, false)
 }
 
-// Seed is the incumbent a search starts from (Step 3 of BBU), shared by
-// the sequential and parallel engines.
-type Seed struct {
-	// UB is the bound the search first prunes against: the UPGMM cost,
-	// a tighter Options.InitialUB, or +Inf under Options.NoInitialUB.
-	UB float64
-	// Tree is the incumbent tree at UB; nil when UB came from InitialUB
-	// (no tree attains it yet) or no feasible tree is known.
-	Tree *tree.Tree
-
-	upgmm     *tree.Tree // feasible fallback; nil under NoInitialUB
-	upgmmCost float64
-}
-
 // Start opens a search on p: it emits ProblemStart and SearchConfig,
-// seeds the upper bound as opt asks (UPGMM, InitialUB, NoInitialUB) and
+// seeds inc from the UPGMM tree as opt asks (see Incumbent.Seed) and
 // emits SeedBound when the seed is finite. start is the search's clock.
-func (p *Problem) Start(opt Options, start time.Time) Seed {
+func (p *Problem) Start(opt Options, start time.Time, inc *Incumbent) {
 	if opt.Probe != nil {
 		opt.Probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.n})
 		// The rule set lets traces and dashboards attribute prune-rate
@@ -210,33 +196,12 @@ func (p *Problem) Start(opt Options, start time.Time) Seed {
 		opt.Probe.Emit(obs.Event{Kind: obs.SearchConfig, Worker: obs.MasterWorker,
 			N: p.n, Phase: opt.ruleSet()})
 	}
-	var s Seed
-	s.upgmm, s.upgmmCost = p.InitialUpperBound()
-	s.UB, s.Tree = s.upgmmCost, s.upgmm
-	if opt.NoInitialUB {
-		s.UB, s.Tree, s.upgmm = math.Inf(1), nil, nil
-	}
-	if opt.InitialUB > 0 && opt.InitialUB < s.UB {
-		// Search against the tighter externally supplied bound, keeping
-		// the UPGMM tree around as the feasible fallback incumbent.
-		s.UB, s.Tree = opt.InitialUB, nil
-	}
-	if opt.Probe != nil && !math.IsInf(s.UB, 1) {
+	t, cost := p.InitialUpperBound()
+	inc.Seed(t, cost, opt, start)
+	if ub := inc.Bound(); opt.Probe != nil && !math.IsInf(ub, 1) {
 		opt.Probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: s.UB, Elapsed: time.Since(start)})
+			Value: ub, Elapsed: time.Since(start)})
 	}
-	return s
-}
-
-// Final returns the tree and cost a finished search reports: its
-// incumbent t at cost, or — when nothing beat an external InitialUB — the
-// feasible UPGMM tree at its own cost, so Tree and Cost agree (see
-// Result).
-func (s Seed) Final(t *tree.Tree, cost float64) (*tree.Tree, float64) {
-	if t == nil && s.upgmm != nil {
-		return s.upgmm, s.upgmmCost
-	}
-	return t, cost
 }
 
 // solve is the sequential driver behind SolveSequential and
@@ -245,16 +210,13 @@ func (s Seed) Final(t *tree.Tree, cost float64) (*tree.Tree, float64) {
 func (p *Problem) solve(opt Options, bestFirst bool) *Result {
 	res := &Result{OpenLB: math.Inf(1), Optimal: true}
 	start := time.Now()
-	seed := p.Start(opt, start)
-	ub := seed.UB
-	res.Tree, res.Cost = seed.Tree, ub
-	if opt.CollectAll && seed.Tree != nil {
-		res.Trees = []*tree.Tree{seed.Tree}
-	}
+	var inc Incumbent
+	p.Start(opt, start, &inc)
+	ub := inc.Bound()
 	gs := newGapSampler(opt.Probe, opt.GapPeriod, start)
 	var exitOpen int64 // nodes still open at exit (0 unless truncated)
 	defer func() {
-		res.Tree, res.Cost = seed.Final(res.Tree, res.Cost)
+		inc.Result(res)
 		if opt.Probe != nil {
 			// Flush the batched prune attribution and the terminal gap
 			// snapshot BEFORE ProblemFinish: consumers rely on
@@ -315,7 +277,8 @@ func (p *Problem) solve(opt Options, bestFirst bool) *Result {
 				np.Put(ch)
 			case ch.Complete(p):
 				res.Stats.Completed++
-				ub = p.recordSolution(ch, ub, opt, res, start)
+				inc.Offer(p, ch, obs.MasterWorker, res.Stats.Expanded)
+				ub = inc.Bound()
 				np.Put(ch)
 			default:
 				f.push(ch)
@@ -323,41 +286,6 @@ func (p *Problem) solve(opt Options, bestFirst bool) *Result {
 		}
 	}
 	return res
-}
-
-// recordSolution folds a complete topology into the result and returns the
-// (possibly improved) upper bound.
-func (p *Problem) recordSolution(v *PNode, ub float64, opt Options, res *Result, start time.Time) float64 {
-	switch {
-	case v.Cost < ub:
-		ub = v.Cost
-		res.Cost = v.Cost
-		res.Tree = v.Tree(p)
-		res.Stats.UBUpdates++
-		res.Stats.Solutions = 1
-		if opt.CollectAll {
-			res.Trees = res.Trees[:0]
-			res.Trees = append(res.Trees, res.Tree)
-		}
-		if opt.Probe != nil {
-			opt.Probe.Emit(obs.Event{Kind: obs.UBImproved, Worker: obs.MasterWorker,
-				Value: v.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
-	case v.Cost == ub:
-		res.Stats.Solutions++
-		if opt.CollectAll {
-			res.Trees = append(res.Trees, v.Tree(p))
-		}
-		if res.Tree == nil {
-			res.Tree = v.Tree(p)
-			res.Cost = v.Cost
-		}
-		if opt.Probe != nil {
-			opt.Probe.Emit(obs.Event{Kind: obs.SolutionFound, Worker: obs.MasterWorker,
-				Value: v.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
-	}
-	return ub
 }
 
 // BruteForce enumerates every rooted binary topology over the species of m

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
@@ -167,10 +168,13 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 	// BB.MaxNodes budget.
 	var stats bb.Stats
 	st := &bb.Step{P: p, Opt: cfg.BB, Pool: p.NewPool(), Budget: bb.NewBudget(cfg.BB.MaxNodes), Stats: &stats}
-	_, best := p.InitialUpperBound()
-	if cfg.BB.InitialUB > 0 && cfg.BB.InitialUB < best {
-		best = cfg.BB.InitialUB
-	}
+	// The model tracks only a best cost, since each slave sees a bound
+	// only after its broadcast delay, but it is seeded like every engine.
+	// It never offers to the incumbent, so the seed needs no clock.
+	var inc bb.Incumbent
+	t, cost := p.InitialUpperBound()
+	inc.Seed(t, cost, cfg.BB, time.Time{})
+	best := inc.Bound()
 	frontier, ok := st.Split(p.Root(), cfg.InitialFanout*cfg.Nodes, best, func(v *bb.PNode) float64 {
 		best = math.Min(best, v.Cost)
 		return best

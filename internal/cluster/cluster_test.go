@@ -182,3 +182,37 @@ func TestMaxExpansionsCapsSimulation(t *testing.T) {
 		t.Fatal("capped run must still carry the incumbent cost")
 	}
 }
+
+// TestNoInitialUBReachesTheModel: the model seeds its bound like every
+// engine, so NoInitialUB starts it from +Inf instead of the UPGMM cost.
+// Without the seed the search expands a different set of nodes on most
+// inputs, and it still proves bb.Solve's optimum.
+func TestNoInitialUBReachesTheModel(t *testing.T) {
+	changed := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		m := matrix.Random0100(rand.New(rand.NewSource(seed)), 10)
+		seq, err := bb.Solve(m, bb.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded, err := Simulate(m, ClusterConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := ClusterConfig(4)
+		cfg.BB.NoInitialUB = true
+		unseeded, err := Simulate(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unseeded.Cost != seq.Cost {
+			t.Errorf("seed %d: NoInitialUB cost %v, bb.Solve %v", seed, unseeded.Cost, seq.Cost)
+		}
+		if unseeded.Expanded != seeded.Expanded {
+			changed++
+		}
+	}
+	if changed < 15 {
+		t.Errorf("NoInitialUB changed the expansion count on %d of 20 inputs, want at least 15", changed)
+	}
+}

@@ -116,16 +116,11 @@ type Result struct {
 // frontier mode, one reduced matrix per internal hierarchy node in
 // decompose mode.
 type coordMatrix struct {
-	id       int
-	m        *matrix.Matrix
-	p        *bb.Problem // nil for 1-species matrices
-	np       *bb.NodePool
-	ub       float64    // current incumbent upper bound
-	ubTree   *tree.Tree // UPGMM fallback incumbent (always feasible)
-	ubCost   float64
-	best     []int // insertion path of the best complete topology, nil if none
-	bestCost float64
-	trivial  *tree.Tree // 1-species matrices: the leaf tree, no search
+	id  int
+	m   *matrix.Matrix
+	p   *bb.Problem // nil for 1-species matrices
+	np  *bb.NodePool
+	inc bb.Incumbent // seeded with the UPGMM tree, or the leaf of a 1-species matrix
 }
 
 // unit is one leasable piece of work: replay path over matrix mid, solve
@@ -170,8 +165,6 @@ type Coordinator struct {
 	workers     map[string]*workerEntry
 	masterStats bb.Stats // coordinator-side slicing work
 	foldedStats bb.Stats // accepted worker results
-	solutions   int64
-	ubUpdates   int64
 	truncated   bool
 	openLB      float64
 	// budget is the farm-wide expansion budget (nil when unlimited): the
@@ -239,12 +232,12 @@ func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 // addMatrix seeds the incumbent for one matrix and slices its frontier
 // into units. Called during construction only (no locking needed).
 func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
-	cm := &coordMatrix{id: len(c.mats), m: m, ub: math.Inf(1)}
+	cm := &coordMatrix{id: len(c.mats), m: m}
 	c.mats = append(c.mats, cm)
 	if m.Len() == 1 {
 		t := tree.New(0)
 		t.SetNames(m.Names())
-		cm.trivial, cm.ub = t, 0
+		cm.inc.Seed(t, 0, c.opt.BB, c.start)
 		return cm, nil
 	}
 	p, err := bb.NewProblem(m, c.opt.BB.UseMaxMin)
@@ -252,11 +245,11 @@ func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
 		return nil, err
 	}
 	cm.p, cm.np = p, p.NewPool()
-	ubTree, ubCost := p.InitialUpperBound()
-	cm.ubTree, cm.ubCost, cm.ub = ubTree, ubCost, ubCost
+	t, cost := p.InitialUpperBound()
+	cm.inc.Seed(t, cost, c.opt.BB, c.start)
 	if !c.opt.Decompose {
 		c.emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ubCost, Elapsed: time.Since(c.start)})
+			Value: cost, Elapsed: time.Since(c.start)})
 	}
 	c.slice(cm)
 	return cm, nil
@@ -272,9 +265,9 @@ func (c *Coordinator) slice(cm *coordMatrix) {
 	}
 	st := &bb.Step{P: cm.p, Opt: c.opt.BB, Pool: cm.np, Budget: c.budget, Stats: &c.masterStats}
 	c.masterStats.Roots++
-	frontier, ok := st.Split(cm.p.Root(), target, cm.ub, func(v *bb.PNode) float64 {
-		c.offerCost(cm, v.Path(), v.Cost, obs.MasterWorker)
-		return cm.ub
+	frontier, ok := st.Split(cm.p.Root(), target, cm.inc.Bound(), func(v *bb.PNode) float64 {
+		c.offer(cm, v, obs.MasterWorker)
+		return cm.inc.Bound()
 	})
 	if !ok {
 		c.truncated = true
@@ -288,27 +281,16 @@ func (c *Coordinator) slice(cm *coordMatrix) {
 	}
 }
 
-// offerCost folds a complete topology (as path + recomputed cost) into a
-// matrix's incumbent: strict improvements tighten the bound, bump the
-// epoch, and wake the long-pollers. Callers hold c.mu (or run during
-// construction). worker is the finder's telemetry id.
-func (c *Coordinator) offerCost(cm *coordMatrix, path []int, cost float64, worker int) {
-	switch {
-	case cost < cm.ub:
-		cm.ub = cost
-		cm.best = append([]int(nil), path...)
-		cm.bestCost = cost
-		c.ubUpdates++
-		c.solutions = 1
+// offer folds the complete topology v into its matrix's incumbent; a
+// strict improvement also bumps the broadcast epoch and wakes the
+// long-pollers. Callers hold c.mu (or run during construction). worker is
+// the finder's telemetry id.
+func (c *Coordinator) offer(cm *coordMatrix, v *bb.PNode, worker int) {
+	if cm.inc.Offer(cm.p, v, worker, c.masterStats.Expanded+c.foldedStats.Expanded) {
 		c.epoch++
 		c.broadcasts++
 		close(c.boundCh)
 		c.boundCh = make(chan struct{})
-		c.emit(obs.Event{Kind: obs.UBImproved, Worker: worker, Value: cost,
-			Nodes:   c.masterStats.Expanded + c.foldedStats.Expanded,
-			Elapsed: time.Since(c.start)})
-	case cost == cm.ub:
-		c.solutions++
 	}
 }
 
@@ -340,7 +322,7 @@ func (c *Coordinator) offerWire(sol wireSolution, worker int) error {
 	if diff := math.Abs(got - sol.Cost); diff > 1e-9*math.Max(1, math.Abs(got)) {
 		return fmt.Errorf("dist: claimed cost %v, replay computes %v", sol.Cost, got)
 	}
-	c.offerCost(cm, sol.Path, got, worker)
+	c.offer(cm, node, worker)
 	return nil
 }
 
@@ -418,7 +400,7 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) {
 func (c *Coordinator) boundsLocked() []wireBound {
 	bounds := make([]wireBound, len(c.mats))
 	for i, cm := range c.mats {
-		bounds[i] = wireBound{Matrix: cm.id, Cost: cm.ub}
+		bounds[i] = wireBound{Matrix: cm.id, Cost: cm.inc.Bound()}
 	}
 	return bounds
 }
@@ -695,9 +677,15 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 	}
 	res.Stats = c.masterStats
 	res.Stats.Add(c.foldedStats)
-	res.Stats.Solutions = c.solutions
-	res.Stats.UBUpdates = c.ubUpdates
 	res.Sched = pbb.SchedStats{Dispatches: c.dispatches, Requeues: c.requeues}
+	// Solutions and UBUpdates sum over the matrices, as the in-process
+	// pipeline sums them over its subproblems.
+	final := make([]bb.Result, len(c.mats))
+	for i, cm := range c.mats {
+		cm.inc.Result(&final[i])
+		res.Stats.Solutions += final[i].Stats.Solutions
+		res.Stats.UBUpdates += final[i].Stats.UBUpdates
+	}
 
 	var err error
 	if c.opt.Decompose {
@@ -705,13 +693,9 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 		// assembled from them in one pass, as in the in-process pipeline.
 		trees := make(map[*compact.Hierarchy]*tree.Tree, len(c.matByH))
 		for h, cm := range c.matByH {
-			if trees[h], _, err = c.matrixTreeLocked(cm); err != nil {
-				break
-			}
+			trees[h] = final[cm.id].Tree
 		}
-		if err == nil {
-			res.Tree, err = compact.Assemble(c.hier, trees)
-		}
+		res.Tree, err = compact.Assemble(c.hier, trees)
 		if err == nil {
 			res.Tree.SetNames(c.m.Names())
 			res.Cost = res.Tree.Cost()
@@ -720,7 +704,7 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 			}
 		}
 	} else {
-		res.Tree, res.Cost, err = c.matrixTreeLocked(c.mats[0])
+		res.Tree, res.Cost = final[0].Tree, final[0].Cost
 	}
 	if err != nil {
 		return nil, err
@@ -729,23 +713,6 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 	c.emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
 		Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(c.start)})
 	return res, nil
-}
-
-// matrixTreeLocked materializes one matrix's incumbent: the best replayed
-// solution, or the UPGMM fallback when the search never beat its seed.
-func (c *Coordinator) matrixTreeLocked(cm *coordMatrix) (*tree.Tree, float64, error) {
-	if cm.trivial != nil {
-		return cm.trivial, 0, nil
-	}
-	if cm.best == nil {
-		return cm.ubTree, cm.ubCost, nil
-	}
-	node, err := cm.p.WalkPath(cm.best, cm.np)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dist: incumbent replay: %w", err)
-	}
-	defer cm.np.Put(node)
-	return node.Tree(cm.p), cm.bestCost, nil
 }
 
 func randomJobID() string {

@@ -95,6 +95,45 @@ func TestSolveDecomposeMatchesPipeline(t *testing.T) {
 	}
 }
 
+// TestDecomposeFarmCountsLikePipeline: a 1-worker decompose farm reports
+// the Solutions and UBUpdates of the in-process pipeline, which sums one
+// search's counts per subproblem. A worker's best reaches the coordinator
+// once — through POST /v1/bound, or with the result when that publish was
+// never acknowledged — and each matrix keeps its own count, so no solution
+// is counted twice and no matrix resets another's count.
+func TestDecomposeFarmCountsLikePipeline(t *testing.T) {
+	for seed := int64(7); seed <= 12; seed++ {
+		// Three blocks by species index mod 3, as experiments' blockRandom.
+		rng := rand.New(rand.NewSource(seed))
+		const n = 24
+		m := matrix.New(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if i%3 == j%3 {
+					m.Set(i, j, float64(25+rng.Intn(26)))
+				} else {
+					m.Set(i, j, float64(60+rng.Intn(16)))
+				}
+			}
+		}
+		want, err := core.Construct(m, core.DefaultOptions(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Solve(m, Options{Workers: 1, Decompose: true, BB: bb.DefaultOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cost != want.Cost {
+			t.Errorf("seed %d: farm cost %v, pipeline %v", seed, res.Cost, want.Cost)
+		}
+		if res.Stats.Solutions != want.Stats.Solutions || res.Stats.UBUpdates != want.Stats.UBUpdates {
+			t.Errorf("seed %d: farm Solutions=%d UBUpdates=%d, pipeline Solutions=%d UBUpdates=%d",
+				seed, res.Stats.Solutions, res.Stats.UBUpdates, want.Stats.Solutions, want.Stats.UBUpdates)
+		}
+	}
+}
+
 // TestSolveTrivial covers the n=1 and n=2 corners in both modes.
 func TestSolveTrivial(t *testing.T) {
 	one, _ := matrix.NewWithNames([]string{"A"})

@@ -18,7 +18,7 @@ import (
 func ubOf(c *Coordinator, mid int) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mats[mid].ub
+	return c.mats[mid].inc.Bound()
 }
 
 func epochOf(c *Coordinator) uint64 {

@@ -223,9 +223,11 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 // branch-and-bound below it against the shared incumbent mirror. The seed
 // node is not counted as a root — the coordinator generated it during
 // slicing, so the farm-wide ledger balances with the coordinator's single
-// root per matrix. Strict improvements are published synchronously via
-// POST /v1/bound before the search continues, so sibling workers re-prune
-// as early as possible.
+// root per matrix. The unit keeps only its best solution: each one is
+// published synchronously via POST /v1/bound before the search continues,
+// so sibling workers re-prune as early as possible, and it rides along in
+// the result only when the coordinator has not acknowledged it, so it is
+// offered once and a lost broadcast cannot lose the optimum.
 func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequest, error) {
 	res := resultRequest{Job: w.job.Job, Worker: w.opt.Name, Unit: lease.Unit, Seq: lease.Seq}
 	p, np := w.probs[lease.Matrix], w.pools[lease.Matrix]
@@ -245,6 +247,7 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 	}
 	var bestPath []int
 	bestCost := math.Inf(1)
+	published := false // the coordinator acknowledged bestPath
 	bound := func() float64 { return math.Min(w.bound(lease.Matrix), bestCost) }
 	openLB := math.Inf(1)
 	var iter int64
@@ -283,8 +286,11 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 				res.Stats.CountIncumbentPrune(1)
 				np.Put(ch)
 			case ch.Complete(p):
+				// Pruned against bound(), a complete child always beats
+				// bestCost.
 				res.Stats.Completed++
-				w.recordSolution(ctx, lease.Matrix, ch, &bestPath, &bestCost, &res)
+				bestPath, bestCost = ch.Path(), ch.Cost
+				published = w.publish(ctx, lease.Matrix, bestPath, bestCost)
 				np.Put(ch)
 			default:
 				stack = append(stack, ch)
@@ -294,39 +300,32 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 	if res.Truncated && !math.IsInf(openLB, 1) {
 		res.HasOpen, res.OpenLB = true, openLB
 	}
-	if bestPath != nil {
+	if bestPath != nil && !published {
 		res.Best = &wireSolution{Matrix: lease.Matrix, Path: bestPath, Cost: bestCost}
 	}
 	return res, nil
 }
 
-// recordSolution folds a complete topology into the unit's tally and
-// publishes strict global improvements to the coordinator. Publish
-// failures are tolerated: the solution still rides along in the final
-// resultRequest.Best, so a lost broadcast cannot lose the optimum.
-func (w *worker) recordSolution(ctx context.Context, mid int, ch *bb.PNode, bestPath *[]int, bestCost *float64, res *resultRequest) {
-	if ch.Cost < *bestCost {
-		*bestCost = ch.Cost
-		*bestPath = ch.Path()
-		res.Stats.UBUpdates++
-		res.Stats.Solutions = 1
-		if ch.Cost < w.bound(mid) {
-			var ack boundsResponse
-			err := w.postJSON(ctx, pathBound, boundRequest{
-				Job: w.job.Job, Worker: w.opt.Name,
-				Solution: wireSolution{Matrix: mid, Path: *bestPath, Cost: ch.Cost},
-			}, &ack)
-			if err == nil {
-				w.applyBounds(ack.Epoch, ack.Bounds)
-			} else {
-				// Keep pruning against it locally even though the publish
-				// failed.
-				w.applyBounds(w.epoch.Load(), []wireBound{{Matrix: mid, Cost: ch.Cost}})
-			}
-		}
-	} else if ch.Cost == *bestCost {
-		res.Stats.Solutions++
+// publish offers a unit's new best solution to the coordinator when it
+// beats the freshest known bound for matrix mid, and reports whether the
+// coordinator acknowledged it. A failed publish is tolerated: the worker
+// keeps pruning against the solution locally, and the caller sends it
+// with the unit's result instead.
+func (w *worker) publish(ctx context.Context, mid int, path []int, cost float64) bool {
+	if cost >= w.bound(mid) {
+		return false
 	}
+	var ack boundsResponse
+	err := w.postJSON(ctx, pathBound, boundRequest{
+		Job: w.job.Job, Worker: w.opt.Name,
+		Solution: wireSolution{Matrix: mid, Path: path, Cost: cost},
+	}, &ack)
+	if err != nil {
+		w.applyBounds(w.epoch.Load(), []wireBound{{Matrix: mid, Cost: cost}})
+		return false
+	}
+	w.applyBounds(ack.Epoch, ack.Bounds)
+	return true
 }
 
 // getJSON GETs path?query and decodes the response.

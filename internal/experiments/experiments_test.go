@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"grid-median", "grid-mean", "grid-worst", "grid24",
 		"ablation-maxmin", "ablation-ub", "ablation-pool",
 		"ablation-reduction", "ablation-33",
-		"accuracy", "scale", "ablation-search", "scaling", "web",
+		"accuracy", "scale", "ablation-search", "web",
 		"dist", "frontier",
 	}
 	for _, id := range want {

@@ -124,7 +124,7 @@ type Config struct {
 	Seed    int64
 	Workers int  // parallel workers for real (goroutine) runs
 	Quick   bool // shrink sweeps for tests and -short benchmarks
-	// BenchOut, when non-empty, makes the scaling, frontier, web and dist
+	// BenchOut, when non-empty, makes the frontier, web and dist
 	// experiments write their machine-readable report to this path. Empty
 	// means no file is written, which keeps test runs side-effect free.
 	BenchOut string

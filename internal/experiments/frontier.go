@@ -87,9 +87,10 @@ type frontierReport struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	GoVersion string `json:"goversion"`
-	// NumCPU and GoMaxProcs are both recorded (see scalingReport): on a
-	// quota-limited CI runner they differ, and entries run with more
-	// workers than schedulable procs carry Oversubscribed.
+	// NumCPU and GoMaxProcs are both recorded: on a quota-limited CI
+	// runner NumCPU reports the host's cores while GOMAXPROCS follows the
+	// quota, and entries run with more workers than schedulable procs
+	// carry Oversubscribed.
 	NumCPU     int             `json:"num_cpu"`
 	GoMaxProcs int             `json:"gomaxprocs"`
 	Entries    []frontierEntry `json:"entries"`

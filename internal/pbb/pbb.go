@@ -36,7 +36,6 @@ import (
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
-	"evotree/internal/tree"
 )
 
 // Options configure a parallel solve. The embedded bb.Options apply to the
@@ -92,10 +91,8 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	res.OpenLB = math.Inf(1)
 	start := time.Now()
 	probe := opt.Probe
-	seed := p.Start(opt.Options, start)
-	inc := newIncumbent(opt.CollectAll)
-	inc.probe, inc.start = probe, start
-	inc.seed(seed.UB, seed.Tree)
+	inc := new(bb.Incumbent)
+	p.Start(opt.Options, start, inc)
 
 	// Master phase: breadth-first branching until the frontier is large
 	// enough to feed every worker (Steps 1–5). The master and the workers
@@ -110,13 +107,14 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	sampling := probe != nil && opt.GapPeriod > 0
 	if sampling {
 		// Initial convergence snapshot: one root open, nothing expanded.
+		ub := inc.Bound()
 		probe.Emit(obs.Event{Kind: obs.GapSample, Worker: obs.MasterWorker,
-			Value: seed.UB, BestLB: root.LB, Gap: obs.GapRatio(seed.UB, root.LB),
+			Value: ub, BestLB: root.LB, Gap: obs.GapRatio(ub, root.LB),
 			Frontier: 1, Elapsed: time.Since(start)})
 	}
-	frontier, ok := master.Split(root, opt.InitialFanout*opt.Workers, seed.UB, func(v *bb.PNode) float64 {
-		inc.offer(p, v, opt.CollectAll, &masterStats, obs.MasterWorker)
-		return inc.bound()
+	frontier, ok := master.Split(root, opt.InitialFanout*opt.Workers, inc.Bound(), func(v *bb.PNode) float64 {
+		inc.Offer(p, v, obs.MasterWorker, masterStats.Expanded)
+		return inc.Bound()
 	})
 	if !ok {
 		res.Optimal = false
@@ -172,7 +170,7 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 						rate = float64(expanded-lastNodes) / dt.Seconds()
 					}
 					last, lastNodes = now, expanded
-					cur := inc.bound()
+					cur := inc.Bound()
 					probe.Emit(obs.Event{Kind: obs.GapSample, Worker: obs.MasterWorker,
 						Value: cur, BestLB: lb, Gap: obs.GapRatio(cur, lb), Rate: rate,
 						Nodes: expanded, Frontier: frontier, Elapsed: now.Sub(start)})
@@ -222,10 +220,7 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		Donates:    sched.donates.Load(),
 		Dispatches: int64(res.MasterNodes),
 	}
-	res.Tree, res.Cost = seed.Final(inc.tree, inc.bound())
-	res.Trees = inc.trees
-	res.Stats.Solutions = inc.solutions
-	res.Stats.UBUpdates = inc.updates
+	inc.Result(&res.Result)
 	if probe != nil {
 		// Flush the master's prune attribution (workers flushed their own
 		// in runWorker) and the terminal gap snapshot before
@@ -255,7 +250,7 @@ type workerStats struct {
 // the smallest lower bound among the nodes it abandoned (+Inf when none);
 // a stopped worker keeps consuming nodes without expanding them so the
 // in-flight count still reaches zero and every worker exits promptly.
-func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
+func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *bb.Incumbent,
 	seed []*bb.PNode, stats *bb.Stats, budget *atomic.Int64, id int, start time.Time) (bool, float64) {
 	probe := opt.Probe
 	tel := &workerTel{id: id, probe: probe, start: start, stats: stats}
@@ -287,8 +282,8 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 	rngState := splitmix64(uint64(id) + 1)
 	cancelled := false
 	openMin := math.Inf(1) // best LB among nodes this worker abandoned
-	ub := inc.bound()
-	epoch := inc.boundEpoch()
+	ub := inc.Bound()
+	epoch := inc.Epoch()
 	var scratch []*bb.PNode // reprune sweep buffer, allocated on first use
 	var iter int64
 	for {
@@ -308,12 +303,12 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 			cancelled = true
 		}
 		iter++
-		if e := inc.boundEpoch(); e != epoch {
+		if e := inc.Epoch(); e != epoch {
 			// Another worker improved the shared bound: refresh the cached
 			// copy and lazily re-prune our own deque against it, off any
 			// lock — stale subproblems die here instead of being expanded.
 			epoch = e
-			ub = inc.bound()
+			ub = inc.Bound()
 			scratch = s.repruneLocal(id, d, ub, opt.CollectAll, np, stats, scratch)
 		}
 		var children []*bb.PNode
@@ -340,7 +335,7 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
 		if n := len(children); n > 0 && children[0].Complete(p) {
 			for _, ch := range children {
 				stats.Completed++
-				inc.offer(p, ch, opt.CollectAll, stats, id)
+				inc.Offer(p, ch, id, stats.Expanded)
 				np.Put(ch)
 			}
 		} else if n > 0 {
@@ -396,118 +391,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// ---- incumbent (shared upper bound + best trees) ----
-
-// incumbent holds the shared upper bound and the best trees found so far.
-// The bound itself is published as atomic float64 bits plus an epoch
-// counter: the hot-path read (bound) is a single atomic load, and workers
-// watch the epoch to notice improvements without ever taking the mutex.
-// The mutex only serializes offers — complete topologies at or below the
-// incumbent cost, a rare event — which need tree/CollectAll bookkeeping.
-type incumbent struct {
-	bits  atomic.Uint64 // math.Float64bits of the current upper bound
-	epoch atomic.Uint64 // bumped on every strict improvement
-
-	mu         sync.Mutex
-	ub         float64 // authoritative bound, mirrors bits (guarded by mu)
-	tree       *tree.Tree
-	trees      []*tree.Tree
-	collectAll bool
-	solutions  int64
-	updates    int64
-	probe      obs.Probe // emitted to under mu, so UB events are ordered
-	start      time.Time
-}
-
-func newIncumbent(collectAll bool) *incumbent {
-	c := &incumbent{ub: math.Inf(1), collectAll: collectAll}
-	c.bits.Store(math.Float64bits(math.Inf(1)))
-	return c
-}
-
-func (c *incumbent) seed(ub float64, t *tree.Tree) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ub = ub
-	c.bits.Store(math.Float64bits(ub))
-	c.tree = t
-	if c.collectAll && t != nil {
-		c.trees = []*tree.Tree{t}
-	}
-}
-
-// bound returns the current global upper bound: one atomic load, no lock.
-// (The seed implementation took a mutex here, which put an acquire/release
-// pair on every node expansion of every worker — the dominant coordination
-// cost once the search kernel stopped allocating.)
-func (c *incumbent) bound() float64 {
-	return math.Float64frombits(c.bits.Load())
-}
-
-// boundEpoch returns the improvement epoch. The bits store precedes the
-// epoch bump, so a reader that sees a new epoch reads a bound at least as
-// tight on its next bound() call.
-func (c *incumbent) boundEpoch() uint64 {
-	return c.epoch.Load()
-}
-
-// publish lowers the atomic bound to ub if it improves on it (CAS loop:
-// concurrent publishers can only tighten) and bumps the epoch.
-func (c *incumbent) publish(ub float64) {
-	bits := math.Float64bits(ub)
-	for {
-		old := c.bits.Load()
-		if math.Float64frombits(old) <= ub {
-			return
-		}
-		if c.bits.CompareAndSwap(old, bits) {
-			c.epoch.Add(1)
-			return
-		}
-	}
-}
-
-// offer records a complete topology, updating the shared bound when it is a
-// strict improvement — the "update the GUB to every node" broadcast of the
-// paper (shared memory makes the broadcast implicit). worker identifies the
-// finder for telemetry; the probe is invoked while holding the incumbent
-// lock so that UBImproved events form a strictly decreasing sequence even
-// when several workers improve the bound concurrently. Offers strictly
-// above the published bound return without touching the mutex.
-func (c *incumbent) offer(p *bb.Problem, v *bb.PNode, collectAll bool, stats *bb.Stats, worker int) {
-	if v.Cost > c.bound() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case v.Cost < c.ub:
-		c.ub = v.Cost
-		c.publish(v.Cost)
-		c.tree = v.Tree(p)
-		c.updates++
-		c.solutions = 1
-		if collectAll {
-			c.trees = c.trees[:0]
-			c.trees = append(c.trees, c.tree)
-		}
-		if c.probe != nil {
-			c.probe.Emit(obs.Event{Kind: obs.UBImproved, Worker: worker,
-				Value: v.Cost, Nodes: stats.Expanded, Elapsed: time.Since(c.start)})
-		}
-	case v.Cost == c.ub:
-		c.solutions++
-		if collectAll {
-			c.trees = append(c.trees, v.Tree(p))
-		}
-		if c.tree == nil {
-			c.tree = v.Tree(p)
-		}
-		if c.probe != nil {
-			c.probe.Emit(obs.Event{Kind: obs.SolutionFound, Worker: worker,
-				Value: v.Cost, Nodes: stats.Expanded, Elapsed: time.Since(c.start)})
-		}
-	}
 }

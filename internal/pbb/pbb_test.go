@@ -214,6 +214,78 @@ func TestCollectAllFindsSameOptimaSetAsSequential(t *testing.T) {
 }
 
 // canonTrees canonicalizes trees by their clade sets.
+// TestCollectAllReturnsEachOptimumOnce: under CollectAll, bb and pbb
+// return every optimal topology exactly once. The UPGMM seed heads the
+// list and the search finds its topology again, so the incumbent must
+// not collect it twice. Two trees with the same clade set are at
+// Robinson–Foulds distance 0. The distances are integers, so ties are
+// exact and the count must equal exhaustive enumeration's.
+func TestCollectAllReturnsEachOptimumOnce(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		m := matrix.RandomMetric(rand.New(rand.NewSource(seed)), 5+int(seed%4), 1, 4)
+		want := countOptima(t, m)
+		seqOpt := bb.DefaultOptions()
+		seqOpt.CollectAll = true
+		seq, err := bb.Solve(m, seqOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parOpt := DefaultOptions(2)
+		parOpt.CollectAll = true
+		par, err := Solve(m, parOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []struct {
+			engine string
+			trees  []*tree.Tree
+		}{{"bb", seq.Trees}, {"pbb", par.Trees}} {
+			if distinct := len(canonTrees(got.trees)); distinct != len(got.trees) {
+				t.Errorf("seed %d: %s returned %d trees, only %d distinct topologies",
+					seed, got.engine, len(got.trees), distinct)
+			}
+			if len(got.trees) != want {
+				t.Errorf("seed %d: %s returned %d trees, enumeration finds %d optima",
+					seed, got.engine, len(got.trees), want)
+			}
+		}
+	}
+}
+
+// countOptima enumerates every topology of m with Problem.Child and
+// counts those at the minimum cost.
+func countOptima(t *testing.T, m *matrix.Matrix) int {
+	t.Helper()
+	p, err := bb.NewProblem(m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := p.NewPool()
+	best, count := math.Inf(1), 0
+	var rec func(v *bb.PNode)
+	rec = func(v *bb.PNode) {
+		defer np.Put(v)
+		if v.Complete(p) {
+			switch {
+			case v.Cost < best:
+				best, count = v.Cost, 1
+			case v.Cost == best:
+				count++
+			}
+			return
+		}
+		for pos := 0; pos < v.Positions(); pos++ {
+			c, err := p.Child(v, pos, np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec(c)
+		}
+	}
+	rec(p.Root())
+	return count
+}
+
 func canonTrees(trees []*tree.Tree) map[string]bool {
 	out := map[string]bool{}
 	for _, tr := range trees {
