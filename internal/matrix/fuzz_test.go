@@ -5,19 +5,27 @@ import (
 	"testing"
 )
 
+// parseSeeds are the seed inputs of the parser's fuzz targets.
+func parseSeeds() []string {
+	rng := rand.New(rand.NewSource(1))
+	return []string{
+		"2\na 0 1\nb 1 0\n",
+		"3\na\nb 1\nc 1 2\n",
+		"3\na 0\nb 1 0\nc 1 2 0\n",
+		"# comment\n1\nsolo\n",
+		"",
+		"9999999999999999999999",
+		"2\na 0 1e308\nb 1e308 0\n",
+		RandomMetric(rng, 6, 50, 100).String(),
+	}
+}
+
 // FuzzParse hammers the matrix reader: any input must either parse into a
 // structurally valid matrix or fail cleanly — never panic.
 func FuzzParse(f *testing.F) {
-	f.Add("2\na 0 1\nb 1 0\n")
-	f.Add("3\na\nb 1\nc 1 2\n")
-	f.Add("3\na 0\nb 1 0\nc 1 2 0\n")
-	f.Add("# comment\n1\nsolo\n")
-	f.Add("")
-	f.Add("9999999999999999999999")
-	f.Add("2\na 0 1e308\nb 1e308 0\n")
-	rng := rand.New(rand.NewSource(1))
-	m := RandomMetric(rng, 6, 50, 100)
-	f.Add(m.String())
+	for _, src := range parseSeeds() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ParseString(src)
 		if err != nil {

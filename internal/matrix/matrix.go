@@ -115,7 +115,8 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Check verifies structural validity: square shape is implied by
-// construction; it checks the zero diagonal, symmetry, and non-negativity.
+// construction; it checks the zero diagonal, finite distances, symmetry,
+// and non-negativity.
 func (m *Matrix) Check() error {
 	n := m.Len()
 	for i := 0; i < n; i++ {
@@ -123,6 +124,9 @@ func (m *Matrix) Check() error {
 			return fmt.Errorf("matrix: diagonal entry (%d,%d) = %g, want 0", i, i, m.d[i][i])
 		}
 		for j := i + 1; j < n; j++ {
+			if v := m.d[i][j]; math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("matrix: non-finite distance at (%d,%d): %g", i, j, v)
+			}
 			if m.d[i][j] != m.d[j][i] {
 				return fmt.Errorf("matrix: asymmetric at (%d,%d): %g vs %g", i, j, m.d[i][j], m.d[j][i])
 			}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -402,5 +403,17 @@ d 8 8 4 0
 	m4, err := ParseString("2\na 0\nb 5 0\n")
 	if err != nil || m4.At(0, 1) != 5 {
 		t.Fatalf("n=2 lower+diag: %v", err)
+	}
+}
+
+// TestParseRejectsNonFinite: an infinite or NaN distance fails Check with
+// an error naming the cell, in every spelling strconv accepts.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"Inf", "-Inf", "+Inf", "infinity", "NaN"} {
+		src := fmt.Sprintf("4\na 0 2 8 %[1]s\nb 2 0 8 8\nc 8 8 0 4\nd %[1]s 8 4 0\n", v)
+		_, err := ParseString(src)
+		if err == nil || !strings.HasPrefix(err.Error(), "matrix: non-finite distance at (0,3): ") {
+			t.Errorf("%s: err = %v, want the non-finite error at (0,3)", v, err)
+		}
 	}
 }

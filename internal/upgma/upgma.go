@@ -76,7 +76,7 @@ func Build(m Matrix, link Linkage) *tree.Tree {
 
 	for id := n; len(alive) > 1; id++ {
 		// Find the closest pair of live clusters.
-		bi, bj := 0, 1
+		bi, bj := alive[0], alive[1]
 		best := math.Inf(1)
 		for x, i := range alive {
 			row := dist[i*n : (i+1)*n]

@@ -130,3 +130,20 @@ func TestMonotoneClamp(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteMatrix: Build on a matrix whose distances are +Inf (built
+// in code, past the parser's finite check) returns a tree over every
+// species instead of indexing a merged-away slot.
+func TestNonFiniteMatrix(t *testing.T) {
+	m := matrix.New(4)
+	m.Set(0, 1, 2)
+	m.Set(2, 3, 4)
+	for _, p := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
+		m.Set(p[0], p[1], math.Inf(1))
+	}
+	for _, link := range []Linkage{Average, Maximum} {
+		if tr := Build(m, link); tr.LeafCount() != 4 {
+			t.Fatalf("linkage %v: %d leaves, want 4", link, tr.LeafCount())
+		}
+	}
+}

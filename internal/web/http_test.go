@@ -112,3 +112,65 @@ func TestHandlerIdempotent(t *testing.T) {
 		t.Fatalf("evoweb_cache_hits_total registered %d times", n)
 	}
 }
+
+// TestNonFiniteMatrix422: a matrix with an infinite distance is rejected
+// with 422 by every algorithm — UPGMA and UPGMM used to panic on a solver
+// goroutine and take the server down — and the server answers the next
+// request.
+func TestNonFiniteMatrix422(t *testing.T) {
+	s := NewServer()
+	h := s.Handler()
+	defer s.Close()
+	const inf = "4\na 0 2 8 Inf\nb 2 0 8 8\nc 8 8 0 4\nd Inf 8 4 0\n"
+	for _, algo := range []string{"compact", "bb", "upgma", "upgmm"} {
+		body, _ := json.Marshal(Request{Matrix: inf, Algorithm: algo})
+		rec, _ := postJSON(t, h, string(body))
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), `"matrix: non-finite distance at (0,3): +Inf"`) {
+			t.Fatalf("%s: status %d, body %s; want 422 naming the cell", algo, rec.Code, rec.Body.String())
+		}
+	}
+	body, _ := json.Marshal(Request{Matrix: sampleMatrix, Algorithm: "upgmm"})
+	if rec, resp := postJSON(t, h, string(body)); resp == nil {
+		t.Fatalf("next request: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestUnencodableResult500: a finite matrix whose optimal cost overflows
+// to +Inf cannot be written as JSON; the server answers 500 with an error
+// body instead of a 200 with an empty one.
+func TestUnencodableResult500(t *testing.T) {
+	h := NewServer().Handler()
+	const huge = "3\na 0 1e308 1.7e308\nb 1e308 0 1.7e308\nc 1.7e308 1.7e308 0\n"
+	for _, algo := range []string{"compact", "bb"} {
+		body, _ := json.Marshal(Request{Matrix: huge, Algorithm: algo})
+		rec, _ := postJSON(t, h, string(body))
+		var e map[string]string
+		if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e["error"], "+Inf") {
+			t.Fatalf("%s: status %d, body %q; want 500 with a JSON error", algo, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestJSONBodyShape: the object must be the whole body, bar white space;
+// keys follow encoding/json (unknown ones are rejected, case variants
+// match).
+func TestJSONBodyShape(t *testing.T) {
+	h := NewServer().Handler()
+	obj, _ := json.Marshal(Request{Matrix: sampleMatrix})
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{string(obj) + " trailing", http.StatusBadRequest},
+		{string(obj) + string(obj), http.StatusBadRequest},
+		{string(obj) + "}", http.StatusBadRequest},
+		{string(obj) + " \n", http.StatusOK},
+		{string(obj) + "\n", http.StatusOK},
+		{`{"matrx":"2\na 0 1\nb 1 0\n"}`, http.StatusBadRequest},
+		{`{"Matrix":"2\na 0 1\nb 1 0\n"}`, http.StatusOK},
+	} {
+		if rec, _ := postJSON(t, h, c.body); rec.Code != c.want {
+			t.Errorf("body %q: status %d, want %d: %s", c.body, rec.Code, c.want, rec.Body.String())
+		}
+	}
+}

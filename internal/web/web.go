@@ -16,11 +16,13 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"log/slog"
 	"mime"
 	"net/http"
@@ -315,6 +317,8 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 // decodeRequest parses the request body under the configured size limit.
 // It returns the HTTP status for the error path: 413 for an oversized
 // body, 415 for an unsupported Content-Type, 400 for malformed payloads.
+// A JSON body is read whole; decodeEnvelope decodes the shape clients
+// send, and encoding/json every other body.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, int, error) {
 	limit := s.MaxBodyBytes
 	if limit <= 0 {
@@ -326,14 +330,25 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	req := &Request{}
 	switch mt {
 	case "application/json":
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
+		body, err := readBody(r, limit)
+		if err != nil {
 			if isBodyTooLarge(err) {
 				return nil, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("request body exceeds the %d-byte limit", limit)
 			}
 			return nil, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+		}
+		var ok bool
+		if *req, ok = decodeEnvelope(body); ok {
+			break
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(req); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+		}
+		if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+			return nil, http.StatusBadRequest, errors.New("bad JSON: trailing data after the request object")
 		}
 	case "application/x-www-form-urlencoded", "multipart/form-data":
 		if err := r.ParseForm(); err != nil {
@@ -356,6 +371,30 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 			fmt.Errorf("unsupported Content-Type %q: use application/json, application/x-www-form-urlencoded, or multipart/form-data", ct)
 	}
 	return req, 0, nil
+}
+
+// readBody reads the request body whole. The buffer is sized from
+// Content-Length, capped at limit, so a body of the declared length is
+// read without growing it.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, limit) + 1 // room for the read that returns EOF
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 func isBodyTooLarge(err error) bool {
@@ -596,11 +635,7 @@ func (s *Server) inputMatrix(req *Request) (*matrix.Matrix, error) {
 	case req.Matrix != "" && req.Fasta != "":
 		return nil, fmt.Errorf("provide either a matrix or FASTA sequences, not both")
 	case req.Matrix != "":
-		m, err := matrix.ParseString(req.Matrix)
-		if err != nil {
-			return nil, fmt.Errorf("matrix: %w", err)
-		}
-		return m, nil
+		return matrix.ParseString(req.Matrix)
 	case req.Fasta != "":
 		records, err := seqsim.ReadFASTA(strings.NewReader(req.Fasta))
 		if err != nil {
@@ -615,10 +650,19 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// writeJSON encodes v before it writes the status, so a value JSON cannot
+// carry (a cost that overflowed to +Inf) answers 500 with an error body
+// instead of a 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": fmt.Sprintf("encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
