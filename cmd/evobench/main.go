@@ -36,7 +36,7 @@ func run(args []string, stdout io.Writer) error {
 		workers  = fs.Int("workers", 4, "goroutine workers for real parallel runs")
 		quick    = fs.Bool("quick", false, "shrink sweeps for a fast run")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text tables")
-		benchout = fs.String("benchout", "", "write the frontier, web or dist experiment's JSON report to this file")
+		benchout = fs.String("benchout", "", "write the frontier experiment's JSON report to this file")
 	)
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {

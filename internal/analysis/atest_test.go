@@ -1,15 +1,18 @@
-// Package atest runs evovet analyzers over fixture packages and checks
-// their findings against // want comments, in the spirit of
+package analysis_test
+
+// This file is the analyzer tests' fixture harness: it runs evovet
+// analyzers over fixture packages and checks their findings against
+// // want comments, in the spirit of
 // golang.org/x/tools/go/analysis/analysistest (which the module cannot
 // depend on).
 //
-// Fixtures live under internal/analysis/testdata/<suite>/src/<import
-// path>/. A fixture tree is self-contained: packages may import each
-// other by their full path — including stubs that shadow real module
-// paths such as evotree/internal/bb, which is how analyzer type matching
-// (done by import-path string) is exercised without dragging the real
-// engine into every fixture — and may import the standard library, which
-// is resolved from compiler export data.
+// Fixtures live under testdata/<suite>/src/<import path>/. A fixture
+// tree is self-contained: packages may import each other by their full
+// path — including stubs that shadow real module paths such as
+// evotree/internal/bb, which is how analyzer type matching (done by
+// import-path string) is exercised without dragging the real engine into
+// every fixture — and may import the standard library, which is resolved
+// from compiler export data.
 //
 // Expectations are written on the line the finding lands on:
 //
@@ -19,7 +22,6 @@
 // the message of exactly one finding reported on that line; findings
 // with no matching want, and wants with no matching finding, fail the
 // test.
-package atest
 
 import (
 	"bytes"
@@ -42,9 +44,9 @@ import (
 	"evotree/internal/analysis"
 )
 
-// Run analyzes every fixture package under testdata/<suite>/src with the
-// given analyzers and compares findings against want comments.
-func Run(t *testing.T, suite string, analyzers ...*analysis.Analyzer) {
+// runFixtures analyzes every fixture package under testdata/<suite>/src
+// with the given analyzers and compares findings against want comments.
+func runFixtures(t *testing.T, suite string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	root := filepath.Join("testdata", suite, "src")
 	fixtures, err := loadFixtures(root)

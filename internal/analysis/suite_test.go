@@ -4,22 +4,21 @@ import (
 	"testing"
 
 	"evotree/internal/analysis"
-	"evotree/internal/analysis/atest"
 )
 
-func TestCtxThread(t *testing.T)  { atest.Run(t, "ctxthread", analysis.CtxThread) }
-func TestAtomicMix(t *testing.T)  { atest.Run(t, "atomicmix", analysis.AtomicMix) }
-func TestProbeGuard(t *testing.T) { atest.Run(t, "probeguard", analysis.ProbeGuard) }
-func TestUnsafeSlab(t *testing.T) { atest.Run(t, "unsafeslab", analysis.UnsafeSlab) }
-func TestWireStrict(t *testing.T) { atest.Run(t, "wirestrict", analysis.WireStrict) }
-func TestKindSwitch(t *testing.T) { atest.Run(t, "kindswitch", analysis.KindSwitch) }
-func TestOneStep(t *testing.T)    { atest.Run(t, "onestep", analysis.OneStep) }
+func TestCtxThread(t *testing.T)  { runFixtures(t, "ctxthread", analysis.CtxThread) }
+func TestAtomicMix(t *testing.T)  { runFixtures(t, "atomicmix", analysis.AtomicMix) }
+func TestProbeGuard(t *testing.T) { runFixtures(t, "probeguard", analysis.ProbeGuard) }
+func TestUnsafeSlab(t *testing.T) { runFixtures(t, "unsafeslab", analysis.UnsafeSlab) }
+func TestWireStrict(t *testing.T) { runFixtures(t, "wirestrict", analysis.WireStrict) }
+func TestKindSwitch(t *testing.T) { runFixtures(t, "kindswitch", analysis.KindSwitch) }
+func TestOneStep(t *testing.T)    { runFixtures(t, "onestep", analysis.OneStep) }
 
 // TestDirectives exercises the //evovet:ignore machinery: justified
 // suppressions silence findings, while reasonless, unknown, malformed,
 // and stale directives are findings themselves — which is what makes an
 // undocumented suppression fail the build.
-func TestDirectives(t *testing.T) { atest.Run(t, "directives", analysis.ProbeGuard) }
+func TestDirectives(t *testing.T) { runFixtures(t, "directives", analysis.ProbeGuard) }
 
 // TestSuiteCleanOnTree runs the full suite over the real module: the
 // tree must stay evovet-clean (modulo justified suppressions), exactly

@@ -74,17 +74,6 @@ func funcBody(fn ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-// funcParams returns the parameter list of a FuncDecl or FuncLit.
-func funcParams(fn ast.Node) *ast.FieldList {
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		return fn.Type.Params
-	case *ast.FuncLit:
-		return fn.Type.Params
-	}
-	return nil
-}
-
 // boolAssigns collects, for every boolean variable with exactly one
 // assignment inside fn, the assigned expression. Variables assigned more
 // than once are dropped: a later assignment could invalidate a guard

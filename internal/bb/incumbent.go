@@ -14,8 +14,8 @@ import (
 // upper bound every searcher prunes against, the tree at that bound, the
 // tied optima under Options.CollectAll, and the Solutions and UBUpdates
 // counts. The sequential driver, pbb's master and workers, and the farm
-// coordinator (one per matrix) all offer through it, so the tie rule and
-// the UPGMM fallback are written once.
+// coordinator (one per matrix) all offer through it, so the tie rule is
+// written once.
 //
 // The bound is published as atomic float64 bits plus an epoch counter:
 // Bound and Epoch are one atomic load each, so searchers read the
@@ -34,34 +34,24 @@ type Incumbent struct {
 	// seed is the seed tree while it heads trees: the search enumerates
 	// every topology once, so the one tie with its topology is the seed
 	// found again and is counted but not collected twice.
-	seed *tree.Tree
-	// fallback is the feasible UPGMM tree, reported at its own cost when
-	// nothing beats an external InitialUB; nil under NoInitialUB.
-	fallback     *tree.Tree
-	fallbackCost float64
-	solutions    int64
-	updates      int64
-	collectAll   bool
-	probe        obs.Probe // emitted to under mu, so UB events are ordered
-	start        time.Time
+	seed       *tree.Tree
+	solutions  int64
+	updates    int64
+	collectAll bool
+	probe      obs.Probe // emitted to under mu, so UB events are ordered
+	start      time.Time
 }
 
 // Seed readies c for a search whose feasible starting tree is t at cost
-// (Step 3 of BBU): the bound is cost, or a tighter opt.InitialUB with t
-// kept as the fallback Result reports, or +Inf with no tree under
+// (Step 3 of BBU): the bound is cost, or +Inf with no tree under
 // opt.NoInitialUB. Offers keep every optimum when opt.CollectAll is set
 // and report to opt.Probe, timed from start. Seed is called once, on a
 // zero Incumbent, before the incumbent is shared.
 func (c *Incumbent) Seed(t *tree.Tree, cost float64, opt Options, start time.Time) {
 	c.collectAll, c.probe, c.start = opt.CollectAll, opt.Probe, start
-	c.ub, c.tree, c.fallback, c.fallbackCost = cost, t, t, cost
+	c.ub, c.tree = cost, t
 	if opt.NoInitialUB {
-		c.ub, c.tree, c.fallback = math.Inf(1), nil, nil
-	}
-	if opt.InitialUB > 0 && opt.InitialUB < c.ub {
-		// Search against the tighter externally supplied bound; no tree
-		// attains it yet.
-		c.ub, c.tree = opt.InitialUB, nil
+		c.ub, c.tree = math.Inf(1), nil
 	}
 	if c.collectAll && c.tree != nil {
 		c.seed = c.tree
@@ -86,8 +76,7 @@ func (c *Incumbent) Epoch() uint64 {
 // improved the bound — the paper's "update the GUB to every node". A
 // strict improvement tightens and publishes the bound, bumps the epoch,
 // restarts the solution count and the CollectAll list, and emits
-// UBImproved. A tie is counted, kept under CollectAll, becomes the tree
-// when none attains the bound yet (an InitialUB seed), and emits
+// UBImproved. A tie is counted, kept under CollectAll, and emits
 // SolutionFound. An offer above the bound returns without taking the
 // lock. worker and nodes (the finder's expansion count) label the event;
 // it is emitted under the lock, so UBImproved values strictly decrease
@@ -117,12 +106,8 @@ func (c *Incumbent) Offer(p *Problem, v *PNode, worker int, nodes int64) bool {
 		return true
 	case v.Cost == c.ub:
 		c.solutions++
-		if c.collectAll || c.tree == nil {
-			t := v.Tree(p)
-			if c.tree == nil {
-				c.tree = t
-			}
-			if c.collectAll && !c.seedAgain(t) {
+		if c.collectAll {
+			if t := v.Tree(p); !c.seedAgain(t) {
 				c.trees = append(c.trees, t)
 			}
 		}
@@ -149,16 +134,11 @@ func (c *Incumbent) seedAgain(t *tree.Tree) bool {
 }
 
 // Result writes the search's outcome into res: Tree and Cost, the
-// CollectAll list, and the Solutions and UBUpdates counts. When nothing
-// beat an external InitialUB, the tree is the UPGMM fallback at its own
-// cost, so Tree and Cost agree (see Result).
+// CollectAll list, and the Solutions and UBUpdates counts.
 func (c *Incumbent) Result(res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	res.Tree, res.Cost = c.tree, c.ub
-	if c.tree == nil && c.fallback != nil {
-		res.Tree, res.Cost = c.fallback, c.fallbackCost
-	}
 	res.Trees = c.trees
 	res.Stats.Solutions = c.solutions
 	res.Stats.UBUpdates = c.updates

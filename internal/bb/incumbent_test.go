@@ -136,32 +136,36 @@ func TestIncumbentTie(t *testing.T) {
 	}
 	min := tops[0].Cost
 
-	// An InitialUB seed at the optimum: no tree attains the bound, so the
-	// first tie becomes the tree.
+	// The first optimum improves on the suppressed seed; the other two
+	// tie with it: counted and collected, the bound and tree unmoved.
 	var log eventLog
 	var inc Incumbent
-	inc.Seed(tops[len(tops)-1].Tree(p), tops[len(tops)-1].Cost,
-		Options{InitialUB: min, CollectAll: true, Probe: &log}, time.Now())
-	for i := 0; i < 3; i++ {
+	inc.Seed(nil, 0, Options{NoInitialUB: true, CollectAll: true, Probe: &log}, time.Now())
+	if !inc.Offer(p, tops[0], 0, 0) {
+		t.Fatal("the first optimum did not improve an infinite bound")
+	}
+	var first Result
+	inc.Result(&first)
+	for i := 1; i < 3; i++ {
 		if inc.Offer(p, tops[i], 0, 0) {
 			t.Fatalf("tie %d reported an improvement", i)
 		}
 		var res Result
 		inc.Result(&res)
 		switch {
-		case res.Stats.Solutions != int64(i+1) || res.Stats.UBUpdates != 0:
-			t.Fatalf("tie %d: Solutions=%d UBUpdates=%d, want %d and 0",
+		case res.Stats.Solutions != int64(i+1) || res.Stats.UBUpdates != 1:
+			t.Fatalf("tie %d: Solutions=%d UBUpdates=%d, want %d and 1",
 				i, res.Stats.Solutions, res.Stats.UBUpdates, i+1)
 		case len(res.Trees) != i+1:
 			t.Fatalf("tie %d: %d trees collected, want %d", i, len(res.Trees), i+1)
-		case res.Tree != res.Trees[0] || res.Cost != min:
-			t.Fatalf("tie %d: tree %v at %v, want the first tie at %v", i, res.Tree, res.Cost, min)
-		case inc.Epoch() != 0 || inc.Bound() != min:
+		case res.Tree != first.Tree || res.Cost != min:
+			t.Fatalf("tie %d: tree %v at %v, want the first optimum at %v", i, res.Tree, res.Cost, min)
+		case inc.Epoch() != 1 || inc.Bound() != min:
 			t.Fatalf("tie %d moved the bound: epoch %d, bound %v", i, inc.Epoch(), inc.Bound())
 		}
 	}
-	if len(log) != 3 || log.count(obs.SolutionFound) != 3 {
-		t.Fatalf("events %+v, want three SolutionFound", log)
+	if len(log) != 3 || log.count(obs.UBImproved) != 1 || log.count(obs.SolutionFound) != 2 {
+		t.Fatalf("events %+v, want one UBImproved and two SolutionFound", log)
 	}
 
 	// A seed tree at the optimum heads the list; the search finding its
@@ -199,27 +203,14 @@ func TestIncumbentOfferAboveBound(t *testing.T) {
 	}
 }
 
+// TestIncumbentResultFallback: with the UPGMM seed suppressed and no
+// solution offered, Result has no tree to fall back on: nil at +Inf.
 func TestIncumbentResultFallback(t *testing.T) {
 	p := tiedMatrix(t)
-	tops := topologies(t, p)
 	upgmm, cost := p.InitialUpperBound()
-
-	// Nothing beats an InitialUB below every topology: the UPGMM tree
-	// comes back at its own cost.
-	var under Incumbent
-	under.Seed(upgmm, cost, Options{InitialUB: tops[0].Cost / 2}, time.Now())
-	if under.Offer(p, tops[0], 0, 0) {
-		t.Fatal("an offer above the InitialUB improved it")
-	}
-	var res Result
-	under.Result(&res)
-	if res.Tree != upgmm || res.Cost != cost {
-		t.Fatalf("InitialUB undercut: tree %v at %v, want the UPGMM tree at %v", res.Tree, res.Cost, cost)
-	}
-
 	var none Incumbent
 	none.Seed(upgmm, cost, Options{NoInitialUB: true}, time.Now())
-	res = Result{}
+	var res Result
 	none.Result(&res)
 	if res.Tree != nil || !math.IsInf(res.Cost, 1) || res.Stats.Solutions != 0 {
 		t.Fatalf("NoInitialUB without a solution: tree %v at %v, Solutions=%d; want nil at +Inf, 0",

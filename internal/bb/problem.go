@@ -161,19 +161,9 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 // N returns the number of species.
 func (p *Problem) N() int { return p.n }
 
-// Dist returns the distance between permuted species i and j.
-func (p *Problem) Dist(i, j int) float64 { return p.dist(i, j) }
-
-// dist is the unexported row-major accessor the kernel inlines.
+// dist returns the distance between permuted species i and j: the
+// row-major accessor the kernel inlines.
 func (p *Problem) dist(i, j int) float64 { return p.d[i*p.n+j] }
-
-// Perm returns the relabeling applied to the input matrix
-// (perm[new] = old).
-func (p *Problem) Perm() []int { return append([]int(nil), p.perm...) }
-
-// Tail returns the lower-bound tail for a partial topology holding the
-// first k permuted species.
-func (p *Problem) Tail(k int) float64 { return p.tail[k] }
 
 // InitialUpperBound runs UPGMM on the (permuted) matrix and returns the
 // feasible tree translated back to original species labels along with its

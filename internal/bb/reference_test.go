@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"evotree/internal/matrix"
+	"evotree/internal/tree"
 )
 
 // This file keeps the bottom-up pricing the kernel used before the
@@ -168,4 +169,34 @@ func TestPricingMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BruteForce enumerates every rooted binary topology over the species of m
+// and returns a minimum ultrametric tree with its cost. Exponential; only
+// sensible for n ≤ 9. The reference the branch-and-bound is checked against.
+func BruteForce(m *matrix.Matrix) (*tree.Tree, float64, error) {
+	p, err := NewProblem(m, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	best := math.Inf(1)
+	var bestNode *PNode
+	np := p.NewPool()
+	var rec func(v *PNode)
+	rec = func(v *PNode) {
+		if v.Complete(p) {
+			if v.Cost < best {
+				best = v.Cost
+				bestNode = v
+			}
+			return
+		}
+		for pos := 0; pos < v.Positions(); pos++ {
+			// v is incomplete and pos in range, so Child cannot fail.
+			c, _ := p.Child(v, pos, np)
+			rec(c)
+		}
+	}
+	rec(p.Root())
+	return bestNode.Tree(p), best, nil
 }

@@ -17,12 +17,6 @@ type Options struct {
 	// always enables it; it is an option here so the ablation benchmarks
 	// can measure its effect.
 	UseMaxMin bool
-	// InitialUB overrides the UPGMM upper bound when positive and tighter.
-	// Used by the decomposition pipeline, which may already know a feasible
-	// cost. When it undercuts every solution (nothing strictly better is
-	// found), the result falls back to the UPGMM tree and its cost rather
-	// than reporting the unattained bound — see Result.
-	InitialUB float64
 	// NoInitialUB starts the search with an infinite upper bound instead
 	// of the UPGMM solution — the ablation measuring what Step 3 of BBU
 	// is worth.
@@ -153,9 +147,7 @@ func (s *Stats) Add(other Stats) {
 //
 // Tree is nil only when no feasible tree is known at all: Options.NoInitialUB
 // suppressed the UPGMM seed and the (possibly truncated) search found no
-// complete topology. When Options.InitialUB undercuts every solution the
-// search can find, the UPGMM tree is returned as the incumbent with Cost set
-// to ITS cost, so Tree and Cost always agree when Tree is non-nil.
+// complete topology. Cost is then +Inf; otherwise it is Tree's cost.
 type Result struct {
 	Tree    *tree.Tree   // one minimum ultrametric tree (see nil contract above)
 	Trees   []*tree.Tree // all optima when Options.CollectAll
@@ -286,36 +278,6 @@ func (p *Problem) solve(opt Options, bestFirst bool) *Result {
 		}
 	}
 	return res
-}
-
-// BruteForce enumerates every rooted binary topology over the species of m
-// and returns a minimum ultrametric tree with its cost. Exponential; only
-// sensible for n ≤ 9. Used to validate the branch-and-bound.
-func BruteForce(m *matrix.Matrix) (*tree.Tree, float64, error) {
-	p, err := NewProblem(m, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	best := math.Inf(1)
-	var bestNode *PNode
-	np := p.NewPool()
-	var rec func(v *PNode)
-	rec = func(v *PNode) {
-		if v.Complete(p) {
-			if v.Cost < best {
-				best = v.Cost
-				bestNode = v
-			}
-			return
-		}
-		for pos := 0; pos < v.Positions(); pos++ {
-			// v is incomplete and pos in range, so Child cannot fail.
-			c, _ := p.Child(v, pos, np)
-			rec(c)
-		}
-	}
-	rec(p.Root())
-	return bestNode.Tree(p), best, nil
 }
 
 // CountTopologies returns A(n) = Π_{k=2}^{n−1} (2k−1), the number of rooted

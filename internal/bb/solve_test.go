@@ -306,7 +306,7 @@ func TestPartialCostsMatchTreeMaterialization(t *testing.T) {
 			children, _ := p.Expand(v, Constraints{}, math.Inf(1), false, nil)
 			v = children[r.Intn(len(children))]
 			tt := v.Tree(p)
-			perm := p.Perm()
+			perm := p.perm
 			pm := make([][]float64, n)
 			for i := range pm {
 				pm[i] = make([]float64, n)

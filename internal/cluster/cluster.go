@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -339,20 +338,6 @@ func Speedup(m *matrix.Matrix, cfg Config, nodes int) (float64, *Result, *Result
 		return 1, seq, par, nil
 	}
 	return seq.Makespan / par.Makespan, seq, par, nil
-}
-
-// Validate sanity-checks a configuration.
-func (cfg Config) Validate() error {
-	if cfg.Nodes < 1 {
-		return fmt.Errorf("cluster: need at least 1 node")
-	}
-	if cfg.TBranch < 0 || cfg.Latency < 0 || cfg.PerByte < 0 {
-		return fmt.Errorf("cluster: negative cost parameter")
-	}
-	if math.IsNaN(cfg.TBranch + cfg.Latency + cfg.PerByte) {
-		return fmt.Errorf("cluster: NaN cost parameter")
-	}
-	return nil
 }
 
 func sortDescLB(nodes []*bb.PNode) {

@@ -147,22 +147,6 @@ func TestHeterogeneousSpeedsSlowDownTheRun(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := ClusterConfig(16).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := ClusterConfig(0)
-	bad.Nodes = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("want error for zero nodes")
-	}
-	neg := ClusterConfig(2)
-	neg.Latency = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("want error for negative latency")
-	}
-}
-
 func TestMaxExpansionsCapsSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := matrix.Random0100(rng, 14)

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
-	"evotree/internal/matrix"
 	"evotree/internal/obs"
 )
 
@@ -107,31 +105,5 @@ func TestSearchGoroutinesStayWithinWorkerBudget(t *testing.T) {
 	}
 	if live != 0 {
 		t.Fatalf("worker gauge did not return to zero: %d", live)
-	}
-}
-
-// TestConstructWithUnattainableInitialUB pins the end-to-end fallback: an
-// InitialUB below every subproblem optimum used to make the solvers return
-// nil trees, which crashed the merge with a nil dereference. Now each
-// solve falls back to its UPGMM incumbent and the pipeline completes.
-func TestConstructWithUnattainableInitialUB(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 4; trial++ {
-		m := matrix.PerturbedUltrametric(rng, 9, 100, 0.1)
-		opt := DefaultOptions(2)
-		opt.BB.InitialUB = 1e-6 // positive but below any real tree cost
-		res, err := Construct(m, opt)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if res.Tree == nil {
-			t.Fatalf("trial %d: nil tree", trial)
-		}
-		if err := res.Tree.Validate(1e-9); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := len(res.Tree.Leaves()); got != 9 {
-			t.Fatalf("trial %d: %d leaves, want 9", trial, got)
-		}
 	}
 }

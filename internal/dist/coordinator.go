@@ -42,8 +42,8 @@ type Options struct {
 	// BB carries the search options. UseMaxMin, Constraints and
 	// Propagate are shipped to the workers; MaxNodes is a farm-wide
 	// expansion budget; Ctx cancels Wait; Probe receives the
-	// coordinator's telemetry. NewCoordinator rejects CollectAll,
-	// InitialUB and NoInitialUB, which the farm does not implement.
+	// coordinator's telemetry. NewCoordinator rejects CollectAll and
+	// NoInitialUB, which the farm does not implement.
 	BB bb.Options
 	// LeaseTTL is how long a worker may hold a unit before the
 	// coordinator re-queues it for someone else. Default 10s.
@@ -51,11 +51,6 @@ type Options struct {
 	// PollHold caps how long GET /v1/bounds parks a long-poll before
 	// answering with an unchanged epoch. Default 250ms.
 	PollHold time.Duration
-	// StepDelay throttles every worker expansion in Solve's loopback
-	// farm, so benchmark and simulator-validation runs are dominated by
-	// (virtual) branching cost rather than scheduling noise. Zero for
-	// production solves.
-	StepDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -182,8 +177,8 @@ type Coordinator struct {
 // returns a coordinator ready to serve workers. The master slicing runs
 // synchronously here (bounded: Fanout×Workers nodes per matrix).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
-	if opt.BB.CollectAll || opt.BB.InitialUB > 0 || opt.BB.NoInitialUB {
-		return nil, errors.New("dist: the farm does not support CollectAll, InitialUB or NoInitialUB")
+	if opt.BB.CollectAll || opt.BB.NoInitialUB {
+		return nil, errors.New("dist: the farm does not support CollectAll or NoInitialUB")
 	}
 	opt = opt.withDefaults()
 	c := &Coordinator{
@@ -336,13 +331,6 @@ func (c *Coordinator) Units() int {
 	return len(c.units)
 }
 
-// Snapshot returns the farm's scheduling counters at this instant.
-func (c *Coordinator) Snapshot() FarmStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.farmStatsLocked()
-}
-
 func (c *Coordinator) farmStatsLocked() FarmStats {
 	fs := FarmStats{
 		Units:      len(c.units),
@@ -453,8 +441,8 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := readJSON(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if code, err := readJSON(w, r, &req); err != nil {
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	c.mu.Lock()
@@ -497,8 +485,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
-	if err := readJSON(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if code, err := readJSON(w, r, &req); err != nil {
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	c.mu.Lock()
@@ -566,8 +554,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleBound(w http.ResponseWriter, r *http.Request) {
 	var req boundRequest
-	if err := readJSON(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if code, err := readJSON(w, r, &req); err != nil {
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	c.mu.Lock()

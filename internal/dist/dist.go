@@ -17,11 +17,11 @@ import (
 // set. opt.BB.Ctx cancels the farm; the incumbent is returned with
 // Optimal=false in that case.
 func Solve(m *matrix.Matrix, opt Options) (*Result, error) {
-	return solveFarm(m, opt, opt.StepDelay)
+	return solveFarm(m, opt, 0)
 }
 
-// solveFarm is Solve with a per-worker StepDelay, used by tests and the
-// simulator-validation harness to stretch unit lifetimes.
+// solveFarm is Solve with a per-worker WorkerOptions.StepDelay, which
+// tests use to stretch unit lifetimes.
 func solveFarm(m *matrix.Matrix, opt Options, stepDelay time.Duration) (*Result, error) {
 	opt = opt.withDefaults()
 	c, err := NewCoordinator(m, opt)

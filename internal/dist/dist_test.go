@@ -238,13 +238,12 @@ func TestFarmHonoursPropagate(t *testing.T) {
 }
 
 // TestNewCoordinatorRejectsUnsupportedOptions: the farm implements
-// neither CollectAll nor an external or suppressed initial bound, so it
-// refuses them instead of ignoring them.
+// neither CollectAll nor a suppressed initial bound, so it refuses them
+// instead of ignoring them.
 func TestNewCoordinatorRejectsUnsupportedOptions(t *testing.T) {
 	m := matrix.Random0100(rand.New(rand.NewSource(13)), 6)
 	for name, set := range map[string]func(*bb.Options){
 		"CollectAll":  func(o *bb.Options) { o.CollectAll = true },
-		"InitialUB":   func(o *bb.Options) { o.InitialUB = 100 },
 		"NoInitialUB": func(o *bb.Options) { o.NoInitialUB = true },
 	} {
 		opt := Options{Workers: 2, BB: bb.DefaultOptions()}

@@ -54,6 +54,13 @@ func startFarm(t *testing.T, m *matrix.Matrix, opt Options) (*Coordinator, *http
 	return c, srv, seq.Cost
 }
 
+// snapshot returns c's scheduling counters at this instant.
+func snapshot(c *Coordinator) FarmStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.farmStatsLocked()
+}
+
 // TestStalledLeaseRequeue: a worker leases a unit and goes silent. The
 // lease must lapse, the unit must be re-leased to a live worker, the
 // search must still terminate with the proven sequential optimum, and the
@@ -123,7 +130,7 @@ func TestStalledLeaseRequeue(t *testing.T) {
 	if ack.Accepted {
 		t.Error("late result from a lapsed, superseded lease was accepted")
 	}
-	after := c.Snapshot()
+	after := snapshot(c)
 	if after.Stale < 1 {
 		t.Errorf("stale counter not incremented: %+v", after)
 	}
@@ -242,7 +249,7 @@ func TestWorkerProcessKill(t *testing.T) {
 	// least one expansion (they are born strictly below the incumbent).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		snap := c.Snapshot()
+		snap := snapshot(c)
 		var dispatched bool
 		for _, w := range snap.Workers {
 			if w.Name == "victim" && w.Dispatched >= 1 {

@@ -132,21 +132,36 @@ func TestBoundOfferValidation(t *testing.T) {
 	}
 }
 
-// TestMalformedRequests: syntactically broken bodies and unknown fields
-// are 400s; unknown units are 400s; a stale-epoch long-poll answers
-// immediately with the current table instead of blocking.
+// TestMalformedRequests: syntactically broken bodies, unknown fields and
+// anything but white space after the value are 400s; a body over
+// maxBodyBytes is a 413; unknown units are 400s; a stale-epoch long-poll
+// answers immediately with the current table instead of blocking.
 func TestMalformedRequests(t *testing.T) {
 	m := matrix.Random0100(rand.New(rand.NewSource(52)), 8)
 	c, srv, _ := startFarm(t, m, Options{Workers: 1, BB: bb.DefaultOptions()})
 
-	for _, body := range []string{"{", `{"job": 7}`, `{"job":"x","bogus":1}`, `{"job":"x"} trailing`} {
-		resp, err := http.Post(srv.URL+pathLease, "application/json", strings.NewReader(body))
+	lease := `{"job":"` + c.Job() + `","worker":"w"}`
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{"{", http.StatusBadRequest},
+		{`{"job": 7}`, http.StatusBadRequest},
+		{`{"job":"x","bogus":1}`, http.StatusBadRequest},
+		{`{"job":"x"} trailing`, http.StatusBadRequest},
+		{lease + `}`, http.StatusBadRequest},
+		{lease + `]`, http.StatusBadRequest},
+		{lease + " \t\r\n", http.StatusOK},
+		{`{"job":"` + c.Job() + `","worker":"` + strings.Repeat("w", maxBodyBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(srv.URL+pathLease, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("lease body %q: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("lease body %.40q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
 
@@ -254,7 +269,7 @@ func TestJobGoneAfterRestart(t *testing.T) {
 	if !res.Optimal || res.Cost != seq.Cost {
 		t.Errorf("new job corrupted: cost=%v optimal=%v, want %v", res.Cost, res.Optimal, seq.Cost)
 	}
-	snap := cNew.Snapshot()
+	snap := snapshot(cNew)
 	if snap.Stale != 0 {
 		t.Errorf("old-job traffic leaked into the new job's counters: %+v", snap)
 	}

@@ -15,8 +15,7 @@ import (
 // internal/cluster and the real localhost farm schedule work differently
 // (virtual clock + tie-breaking by node id vs OS goroutine scheduling and
 // real HTTP latency), so exact agreement is impossible and not the claim.
-// The documented contract, asserted here and measured by `evobench -fig
-// dist`, is:
+// The documented contract, asserted here, is:
 //
 //   - costs agree EXACTLY (both are exact searches — a hard gate);
 //   - expansion counts agree within simExpandFactor (both engines explore

@@ -33,8 +33,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
@@ -202,17 +205,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readJSON decodes the request body into v, rejecting trailing garbage.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. The largest legitimate body, a
+// result carrying a 64-species insertion path and its Stats, is a few KB.
+const maxBodyBytes = 1 << 20
+
+// readJSON decodes the request body into v: one JSON value of at most
+// maxBodyBytes, followed by nothing but JSON white space. On failure it
+// returns the status to answer: 413 for an oversized body, else 400.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return http.StatusRequestEntityTooLarge,
+				fmt.Errorf("dist: request body exceeds the %d-byte limit", maxBodyBytes)
+		}
+		return http.StatusBadRequest, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return err
+		return http.StatusBadRequest, err
 	}
-	if dec.More() {
-		return fmt.Errorf("dist: trailing data after JSON body")
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return http.StatusBadRequest, errors.New("dist: trailing data after JSON body")
 	}
-	return nil
+	return 0, nil
 }
 
 // validCost reports whether a claimed solution cost is a usable bound.

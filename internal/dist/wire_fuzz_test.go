@@ -17,8 +17,10 @@ import (
 // FuzzWireDecode throws arbitrary bodies at the coordinator's three POST
 // endpoints and checks the wire contract end to end:
 //
+//   - a body over maxBodyBytes answers 413;
 //   - a body the strict decoder rejects (malformed JSON, unknown field,
-//     trailing data, NaN/out-of-range numbers) answers 400;
+//     anything but white space after the value, NaN/out-of-range
+//     numbers) answers 400;
 //   - a well-formed body naming the wrong job answers 410;
 //   - a result for a unit outside the farm answers 400;
 //   - a bound whose offered solution does not verify answers 422;
@@ -49,6 +51,8 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":0,"path":[],"cost":-5}}`))
 	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":99,"path":[0,1],"cost":1e999}}`))
 	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":0,"path":[0,0,0,0,0,0,0],"cost":12}}`))
+	f.Add(byte(0), []byte(`{"job":"`+job+`","worker":"w"}}`))
+	f.Add(byte(0), []byte(`{"job":"`+job+`","worker":"w"}]`))
 
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
 		kind %= 3
@@ -64,13 +68,13 @@ func FuzzWireDecode(f *testing.F) {
 			// handler's own judgement; the contract is only that a
 			// verified offer is 200 and a rejected one is 422.
 			if rr.Code != http.StatusOK && rr.Code != http.StatusUnprocessableEntity {
-				t.Fatalf("%s %q: got %d, want 200 or 422", path, body, rr.Code)
+				t.Fatalf("%s %.200q: got %d, want 200 or 422", path, body, rr.Code)
 			}
 		case rr.Code != want:
-			t.Fatalf("%s %q: got %d, want %d\nresponse: %s", path, body, rr.Code, want, rr.Body.Bytes())
+			t.Fatalf("%s %.200q: got %d, want %d\nresponse: %s", path, body, rr.Code, want, rr.Body.Bytes())
 		}
 		if !json.Valid(rr.Body.Bytes()) {
-			t.Fatalf("%s %q: response is not valid JSON: %q", path, body, rr.Body.Bytes())
+			t.Fatalf("%s %.200q: response is not valid JSON: %q", path, body, rr.Body.Bytes())
 		}
 	})
 }
@@ -79,13 +83,16 @@ func FuzzWireDecode(f *testing.F) {
 // promises for one POST body. boundOffer is true when the status
 // depends on offer verification (200 or 422).
 func expectedWireStatus(kind byte, body []byte, job string, units int) (want int, boundOffer bool) {
+	if len(body) > maxBodyBytes {
+		return http.StatusRequestEntityTooLarge, false
+	}
 	strict := func(v any) error {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(v); err != nil {
 			return err
 		}
-		if dec.More() {
+		if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 			return errors.New("trailing data")
 		}
 		return nil

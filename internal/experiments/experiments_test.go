@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"evotree/internal/matrix"
 )
 
 func quickCfg() Config {
@@ -18,8 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"grid-median", "grid-mean", "grid-worst", "grid24",
 		"ablation-maxmin", "ablation-ub", "ablation-pool",
 		"ablation-reduction", "ablation-33",
-		"accuracy", "scale", "ablation-search", "web",
-		"dist", "frontier",
+		"accuracy", "scale", "ablation-search", "frontier",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
@@ -81,10 +82,7 @@ func TestStatsHelpers(t *testing.T) {
 	if got := Max(xs); got != 5 {
 		t.Errorf("Max = %g", got)
 	}
-	if got := Min(xs); got != 1 {
-		t.Errorf("Min = %g", got)
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-input helpers must return 0")
 	}
 }
@@ -109,20 +107,11 @@ func TestFigureRenderAlignment(t *testing.T) {
 }
 
 func TestWorkloadGenerators(t *testing.T) {
-	cfg := quickCfg()
-	_ = cfg
 	rng := newTestRNG()
 	for _, n := range []int{5, 12} {
-		m := clusteredRandom(rng, n)
-		if err := m.Check(); err != nil {
-			t.Fatal(err)
-		}
-		if m.MaxOff() > 100 {
-			t.Fatalf("clusteredRandom exceeds 100: %g", m.MaxOff())
-		}
-		u := uniformRandom(rng, n)
+		u := matrix.Random0100(rng, n)
 		if !u.IsMetric() {
-			t.Fatal("uniformRandom must be metric after closure")
+			t.Fatal("Random0100 must be metric after closure")
 		}
 		h := hmdna(rng, n)
 		if h.Len() != n || !h.IsMetric() {

@@ -124,14 +124,11 @@ type Config struct {
 	Seed    int64
 	Workers int  // parallel workers for real (goroutine) runs
 	Quick   bool // shrink sweeps for tests and -short benchmarks
-	// BenchOut, when non-empty, makes the frontier, web and dist
-	// experiments write their machine-readable report to this path. Empty
-	// means no file is written, which keeps test runs side-effect free.
+	// BenchOut, when non-empty, makes the frontier experiment write its
+	// machine-readable report to this path. Empty means no file is
+	// written, which keeps test runs side-effect free.
 	BenchOut string
 }
-
-// DefaultConfig matches the papers' scales.
-func DefaultConfig() Config { return Config{Seed: 2005, Workers: 16} }
 
 // Runner regenerates one figure.
 type Runner func(cfg Config) (*Figure, error)

@@ -53,7 +53,7 @@ var mtWorkload = workload{
 // the uniform workload hits that wall earlier.
 var randWorkload = workload{
 	name:  "uniform",
-	fn:    uniformRandom,
+	fn:    matrix.Random0100,
 	full:  []int{12, 14, 16, 18, 20},
 	quick: []int{8, 10},
 }

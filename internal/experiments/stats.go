@@ -42,17 +42,3 @@ func Max(xs []float64) float64 {
 	}
 	return best
 }
-
-// Min returns the smallest value (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
-}

@@ -14,9 +14,9 @@ import (
 //     compact sets — under it the decomposition degenerates to the plain
 //     search and the PaCT figures would be flat. Since the paper reports
 //     77–99.7% savings on its random data, that data necessarily carried
-//     structure; we model it as a perturbed ultrametric hierarchy rescaled
-//     to the 0..100 integer range (clusteredRandom below), and additionally
-//     expose the structureless uniform draw (uniformRandom) so the
+//     structure; we model it as block-structured groups of species
+//     (blockRandom below). The HPC-Asia random-data figures use the
+//     structureless uniform draw itself (matrix.Random0100), so the
 //     degenerate behaviour is measurable too.
 //   - Human Mitochondrial DNA distance matrices, substituted by the
 //     seqsim molecular-clock simulator (see DESIGN.md §5).
@@ -46,30 +46,6 @@ func blockRandom(rng *rand.Rand, n int) *matrix.Matrix {
 		}
 	}
 	return m
-}
-
-// clusteredRandom draws a random matrix with hierarchical structure,
-// scaled to integer distances in 1..100.
-func clusteredRandom(rng *rand.Rand, n int) *matrix.Matrix {
-	m := matrix.PerturbedUltrametric(rng, n, 100, 0.15)
-	// Rescale to the paper's 0..100 integer range.
-	maxD := m.MaxOff()
-	if maxD == 0 {
-		return m
-	}
-	out := matrix.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := float64(int(m.At(i, j)/maxD*99)) + 1
-			out.Set(i, j, v)
-		}
-	}
-	return out
-}
-
-// uniformRandom draws the structureless uniform 0..100 workload.
-func uniformRandom(rng *rand.Rand, n int) *matrix.Matrix {
-	return matrix.Random0100(rng, n)
 }
 
 // hmdna draws one synthetic Human-Mitochondrial-DNA-like matrix. Sequence

@@ -53,8 +53,6 @@ func SortEdges(edges []Edge) {
 type UnionFind struct {
 	parent []int
 	rank   []int
-	size   []int
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
@@ -62,12 +60,9 @@ func NewUnionFind(n int) *UnionFind {
 	u := &UnionFind{
 		parent: make([]int, n),
 		rank:   make([]int, n),
-		size:   make([]int, n),
-		sets:   n,
 	}
 	for i := range u.parent {
 		u.parent[i] = i
-		u.size[i] = 1
 	}
 	return u
 }
@@ -92,19 +87,11 @@ func (u *UnionFind) Union(a, b int) bool {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
-	u.sets--
 	return true
 }
-
-// Size returns the size of x's set.
-func (u *UnionFind) Size(x int) int { return u.size[u.Find(x)] }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }
 
 // MST computes the minimum spanning tree of the complete graph induced by
 // w and returns its edges in the ascending order in which Kruskal's
@@ -163,13 +150,4 @@ func MST(w Weights) ([]Edge, error) {
 	}
 	SortEdges(out)
 	return out, nil
-}
-
-// TotalWeight sums the edge weights.
-func TotalWeight(edges []Edge) float64 {
-	var sum float64
-	for _, e := range edges {
-		sum += e.Weight
-	}
-	return sum
 }

@@ -342,20 +342,15 @@ func (m *Matrix) canonSearch(class []int) ([]int, bool) {
 	return best, true
 }
 
-// Fingerprint returns a hex SHA-256 over the canonical relabeling of m:
-// equal fingerprints imply the matrices are species permutations of each
-// other (hash collisions aside), independent of species names. This is
-// the cache key primitive of the web service — see the package comment
-// in internal/web/solve.go for how it is combined with solve options.
-func (m *Matrix) Fingerprint() string {
-	fp, _ := m.CanonicalFingerprint()
-	return fp
-}
-
-// CanonicalFingerprint returns the fingerprint together with the
-// canonical permutation that produced it, so callers can relabel the
-// matrix (or a cached tree) into/out of canonical order without
-// recomputing the refinement.
+// CanonicalFingerprint returns a hex SHA-256 over the canonical
+// relabeling of m, together with the canonical permutation that produced
+// it: equal fingerprints imply the matrices are species permutations of
+// each other (hash collisions aside), independent of species names. The
+// fingerprint is the cache key primitive of the web service — see the
+// package comment in internal/web/solve.go for how it is combined with
+// solve options — and the permutation lets callers relabel the matrix (or
+// a cached tree) into/out of canonical order without recomputing the
+// refinement.
 func (m *Matrix) CanonicalFingerprint() (string, []int) {
 	perm := m.CanonicalPermutation()
 	n := m.Len()

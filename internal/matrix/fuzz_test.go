@@ -84,7 +84,7 @@ func FuzzCanonicalForm(f *testing.F) {
 				t.Fatalf("%v\nmatrix:\n%s", err, x)
 			}
 		}
-		if a, b := m.Fingerprint(), p.Fingerprint(); a != b {
+		if a, b := fingerprint(m), fingerprint(p); a != b {
 			t.Fatalf("fingerprint changed under relabeling %v: %s vs %s\nmatrix:\n%s", perm, a, b, m)
 		}
 	})

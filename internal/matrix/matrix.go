@@ -55,25 +55,6 @@ func NewWithNames(names []string) (*Matrix, error) {
 	return &Matrix{names: append([]string(nil), names...), d: d}, nil
 }
 
-// FromRows builds a matrix from a full square table. The table must be
-// symmetric with a zero diagonal and non-negative entries.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	n := len(rows)
-	m := New(n)
-	for i, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("matrix: row %d has %d entries, want %d", i, len(row), n)
-		}
-		for j, v := range row {
-			m.d[i][j] = v
-		}
-	}
-	if err := m.Check(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Len returns the number of species.
 func (m *Matrix) Len() int { return len(m.names) }
 
@@ -102,16 +83,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	}
 	m.d[i][j] = v
 	m.d[j][i] = v
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Len())
-	copy(c.names, m.names)
-	for i := range m.d {
-		copy(c.d[i], m.d[i])
-	}
-	return c
 }
 
 // Check verifies structural validity: square shape is implied by
@@ -302,43 +273,6 @@ func (m *Matrix) MaxMinPermutation() []int {
 		}
 	}
 	return perm
-}
-
-// IsMaxMinPermutation reports whether perm satisfies the max–min property
-// for m: the first two species are a farthest pair, and each later species
-// has a minimum distance to its predecessors no smaller than any unchosen
-// alternative at that step.
-func (m *Matrix) IsMaxMinPermutation(perm []int) bool {
-	n := m.Len()
-	if len(perm) != n {
-		return false
-	}
-	if n < 2 {
-		return n != 1 || perm[0] == 0
-	}
-	_, _, maxD := m.MaxPair()
-	if m.d[perm[0]][perm[1]] != maxD {
-		return false
-	}
-	for k := 2; k < n; k++ {
-		picked := minDistTo(m, perm[k], perm[:k])
-		for l := k + 1; l < n; l++ {
-			if minDistTo(m, perm[l], perm[:k]) > picked {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func minDistTo(m *Matrix, v int, set []int) float64 {
-	best := math.Inf(1)
-	for _, s := range set {
-		if m.d[v][s] < best {
-			best = m.d[v][s]
-		}
-	}
-	return best
 }
 
 // String renders the matrix in the same PHYLIP-like format accepted by Parse.

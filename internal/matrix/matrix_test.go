@@ -68,24 +68,22 @@ func TestSetPanicsOnDiagonal(t *testing.T) {
 	m.Set(1, 1, 3)
 }
 
-func TestFromRowsValidation(t *testing.T) {
-	if _, err := FromRows([][]float64{{0, 1}, {1}}); err == nil {
-		t.Fatal("want error for ragged rows")
+// fromRows builds a matrix from a full square table, which must be
+// symmetric with a zero diagonal.
+func fromRows(rows [][]float64) *Matrix {
+	m := New(len(rows))
+	for i, row := range rows {
+		for j, v := range row {
+			if i != j {
+				m.Set(i, j, v)
+			}
+		}
 	}
-	if _, err := FromRows([][]float64{{0, 1}, {2, 0}}); err == nil {
-		t.Fatal("want error for asymmetry")
-	}
-	if _, err := FromRows([][]float64{{0, -1}, {-1, 0}}); err == nil {
-		t.Fatal("want error for negative entries")
-	}
-	m, err := FromRows([][]float64{{0, 1}, {1, 0}})
-	if err != nil || m.At(0, 1) != 1 {
-		t.Fatalf("FromRows: %v", err)
-	}
+	return m
 }
 
 func TestIsMetricAndUltrametric(t *testing.T) {
-	m, _ := FromRows([][]float64{
+	m := fromRows([][]float64{
 		{0, 2, 2},
 		{2, 0, 1},
 		{2, 1, 0},
@@ -96,7 +94,7 @@ func TestIsMetricAndUltrametric(t *testing.T) {
 	if !m.IsUltrametric() {
 		t.Fatal("ultrametric matrix misclassified")
 	}
-	bad, _ := FromRows([][]float64{
+	bad := fromRows([][]float64{
 		{0, 10, 1},
 		{10, 0, 1},
 		{1, 1, 0},
@@ -104,7 +102,7 @@ func TestIsMetricAndUltrametric(t *testing.T) {
 	if bad.IsMetric() {
 		t.Fatal("triangle violation missed")
 	}
-	nonUltra, _ := FromRows([][]float64{
+	nonUltra := fromRows([][]float64{
 		{0, 3, 2},
 		{3, 0, 1},
 		{2, 1, 0},
@@ -180,7 +178,7 @@ func TestMaxMinPermutationProperty(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		return m.IsMaxMinPermutation(perm)
+		return isMaxMinPermutation(m, perm)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -194,6 +192,16 @@ func TestMaxMinPermutationTiny(t *testing.T) {
 	if got := New(1).MaxMinPermutation(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("n=1: %v", got)
 	}
+}
+
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	c := New(m.Len())
+	copy(c.names, m.names)
+	for i := range m.d {
+		copy(c.d[i], m.d[i])
+	}
+	return c
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -336,13 +344,13 @@ func TestIsMaxMinPermutationRejects(t *testing.T) {
 	m.Set(0, 2, 1)
 	m.Set(1, 2, 9.5)
 	// {2,...} cannot start a max-min permutation: the farthest pair is (0,1).
-	if m.IsMaxMinPermutation([]int{2, 0, 1}) {
+	if isMaxMinPermutation(m, []int{2, 0, 1}) {
 		t.Fatal("accepted a permutation not starting with the farthest pair")
 	}
-	if m.IsMaxMinPermutation([]int{0, 1}) {
+	if isMaxMinPermutation(m, []int{0, 1}) {
 		t.Fatal("accepted wrong length")
 	}
-	if !m.IsMaxMinPermutation(m.MaxMinPermutation()) {
+	if !isMaxMinPermutation(m, m.MaxMinPermutation()) {
 		t.Fatal("rejected its own permutation")
 	}
 	if math.IsNaN(m.At(0, 1)) {
@@ -416,4 +424,42 @@ func TestParseRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: err = %v, want the non-finite error at (0,3)", v, err)
 		}
 	}
+}
+
+// isMaxMinPermutation reports whether perm satisfies the max–min property
+// for m, the reference MaxMinPermutation is checked against: the first
+// two species are a farthest pair, and each later species has a minimum
+// distance to its predecessors no smaller than any unchosen alternative
+// at that step.
+func isMaxMinPermutation(m *Matrix, perm []int) bool {
+	n := m.Len()
+	if len(perm) != n {
+		return false
+	}
+	if n < 2 {
+		return n != 1 || perm[0] == 0
+	}
+	_, _, maxD := m.MaxPair()
+	if m.d[perm[0]][perm[1]] != maxD {
+		return false
+	}
+	for k := 2; k < n; k++ {
+		picked := minDistTo(m, perm[k], perm[:k])
+		for l := k + 1; l < n; l++ {
+			if minDistTo(m, perm[l], perm[:k]) > picked {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func minDistTo(m *Matrix, v int, set []int) float64 {
+	best := math.Inf(1)
+	for _, s := range set {
+		if m.d[v][s] < best {
+			best = m.d[v][s]
+		}
+	}
+	return best
 }

@@ -183,17 +183,6 @@ func (t *Tree) TotalLength() float64 {
 	return sum
 }
 
-// LeafCount returns the number of leaves.
-func (t *Tree) LeafCount() int {
-	c := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Species >= 0 {
-			c++
-		}
-	}
-	return c
-}
-
 func (t *Tree) leaf(s int) int {
 	for i := range t.Nodes {
 		if t.Nodes[i].Species == s {

@@ -20,9 +20,10 @@ func TestCounterAndGauge(t *testing.T) {
 	g := r.Gauge("depth", "Depth.")
 	g.Set(7)
 	g.Dec()
-	g.Add(-2)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	g.Dec()
+	g.Inc()
+	if g.Value() != 6 {
+		t.Fatalf("gauge = %d, want 6", g.Value())
 	}
 
 	defer func() {

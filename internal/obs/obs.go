@@ -25,8 +25,8 @@ const (
 	// ProblemStart marks the beginning of one branch-and-bound search
 	// (sequential or parallel). N carries the species count.
 	ProblemStart
-	// SeedBound reports the initial feasible upper bound (UPGMM, or an
-	// externally supplied InitialUB). Value carries the bound.
+	// SeedBound reports the initial feasible upper bound, the UPGMM
+	// tree's cost. Value carries the bound.
 	SeedBound
 	// UBImproved reports a strict improvement of the incumbent upper
 	// bound. Value is the new bound, Worker the finder (MasterWorker for

@@ -71,22 +71,6 @@ func (r *Recorder) Emit(ev Event) {
 	st.mu.Unlock()
 }
 
-// Len returns the number of events currently retained across all stripes.
-func (r *Recorder) Len() int {
-	n := 0
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		if st.written < uint64(len(st.ring)) {
-			n += int(st.written)
-		} else {
-			n += len(st.ring)
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
-
 // Total returns the number of events ever emitted to the recorder,
 // including those the rings have already evicted.
 func (r *Recorder) Total() uint64 { return r.seq.Load() }

@@ -19,12 +19,9 @@ func TestRecorderWraparound(t *testing.T) {
 	if got := r.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4 (ring capacity)", got)
-	}
 	evs := r.Snapshot()
 	if len(evs) != 4 {
-		t.Fatalf("Snapshot returned %d events, want 4", len(evs))
+		t.Fatalf("Snapshot returned %d events, want 4 (ring capacity)", len(evs))
 	}
 	for i, ev := range evs {
 		// Events 7..10 (1-based seq) survive; Nodes carries 6..9.

@@ -8,7 +8,6 @@ import (
 
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
-	"evotree/internal/tree"
 )
 
 // TestMasterHonorsMaxNodes pins the budget fix: the seed implementation let
@@ -62,51 +61,6 @@ func TestMasterHonorsContext(t *testing.T) {
 	if res.Tree == nil {
 		t.Fatal("cancelled search must return the UPGMM incumbent")
 	}
-}
-
-// TestInitialUBUndercutReturnsFeasibleIncumbent pins the Tree/Cost contract:
-// when an external bound undercuts every solution, the engines must fall
-// back to the feasible UPGMM tree with ITS cost instead of returning a nil
-// tree (which used to crash the decomposition's graft) or the unattained
-// bound.
-func TestInitialUBUndercutReturnsFeasibleIncumbent(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := matrix.RandomMetric(rng, 8, 50, 100)
-	base, err := Solve(m, DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, tr *tree.Tree, cost float64) {
-		if tr == nil {
-			t.Fatalf("%s: nil tree under an unattainable InitialUB", name)
-		}
-		if math.Abs(tr.Cost()-cost) > 1e-9 {
-			t.Fatalf("%s: tree cost %g disagrees with reported cost %g", name, tr.Cost(), cost)
-		}
-		if cost < base.Cost-1e-9 {
-			t.Fatalf("%s: reported cost %g below the optimum %g", name, cost, base.Cost)
-		}
-		if !tr.Feasible(m, 1e-9) {
-			t.Fatalf("%s: fallback tree infeasible", name)
-		}
-	}
-
-	popt := DefaultOptions(4)
-	popt.InitialUB = base.Cost * 0.9
-	pres, err := Solve(m, popt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("parallel", pres.Tree, pres.Cost)
-
-	sopt := bb.DefaultOptions()
-	sopt.InitialUB = base.Cost * 0.9
-	sres, err := bb.Solve(m, sopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("sequential", sres.Tree, sres.Cost)
 }
 
 // TestDonationStress hammers the two-level load balancer with many workers

@@ -163,85 +163,3 @@ func Hamming(a, b []byte) int {
 	}
 	return d
 }
-
-// JukesCantor converts an observed per-site difference fraction p into the
-// evolutionary distance estimate −¾·ln(1 − 4p/3). It returns +Inf when the
-// fraction saturates (p ≥ ¾).
-func JukesCantor(p float64) float64 {
-	if p >= 0.75 {
-		return math.Inf(1)
-	}
-	return -0.75 * math.Log(1-4*p/3)
-}
-
-// CorrectedMatrix maps a Hamming matrix over sequences of length seqLen to
-// Jukes–Cantor distances scaled back to the same magnitude (×seqLen). The
-// result is repaired with a metric closure since the correction can bend
-// the triangle inequality. Saturated entries are clamped to the largest
-// finite corrected value.
-func CorrectedMatrix(m *matrix.Matrix, seqLen int) *matrix.Matrix {
-	n := m.Len()
-	out := m.Clone()
-	maxFinite := 0.0
-	vals := make([][]float64, n)
-	for i := range vals {
-		vals[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			jc := JukesCantor(m.At(i, j) / float64(seqLen))
-			vals[i][j] = jc
-			if !math.IsInf(jc, 1) && jc > maxFinite {
-				maxFinite = jc
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := vals[i][j]
-			if math.IsInf(v, 1) {
-				v = maxFinite
-			}
-			out.Set(i, j, v*float64(seqLen))
-		}
-	}
-	// The JC transform is concave, which can violate the triangle
-	// inequality on noisy data; restore it by shortest-path closure.
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			rows[i][j] = out.At(i, j)
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if v := rows[i][k] + rows[k][j]; v < rows[i][j] {
-					rows[i][j] = v
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out.Set(i, j, rows[i][j])
-		}
-	}
-	return out
-}
-
-// Batch generates count independent datasets with the same parameters,
-// advancing the RNG between them — the papers use 10–20 instances per
-// species count to smooth out data dependence.
-func Batch(rng *rand.Rand, p Params, count int) ([]*Dataset, error) {
-	out := make([]*Dataset, 0, count)
-	for i := 0; i < count; i++ {
-		ds, err := Generate(rng, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds)
-	}
-	return out, nil
-}

@@ -125,62 +125,6 @@ func TestHamming(t *testing.T) {
 	Hamming([]byte("AC"), []byte("ACG"))
 }
 
-func TestJukesCantor(t *testing.T) {
-	if d := JukesCantor(0); d != 0 {
-		t.Fatalf("JC(0)=%g", d)
-	}
-	if d := JukesCantor(0.8); !math.IsInf(d, 1) {
-		t.Fatalf("JC must saturate at p ≥ 3/4, got %g", d)
-	}
-	// JC is convex and exceeds p for p > 0.
-	for _, p := range []float64{0.05, 0.2, 0.5} {
-		if d := JukesCantor(p); d <= p {
-			t.Fatalf("JC(%g)=%g not > p", p, d)
-		}
-	}
-}
-
-func TestCorrectedMatrixStaysMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	ds, err := Generate(rng, Params{Species: 12, SeqLen: 300, Rate: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := CorrectedMatrix(ds.Matrix, 300)
-	if err := c.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.IsMetric() {
-		t.Fatal("corrected matrix must be metric after closure")
-	}
-	// Correction stretches distances (before closure), so the max entry
-	// should be at least the raw max.
-	if c.MaxOff() < ds.Matrix.MaxOff()-1e-9 {
-		t.Fatalf("corrected max %g below raw max %g", c.MaxOff(), ds.Matrix.MaxOff())
-	}
-}
-
-func TestBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	batch, err := Batch(rng, Params{Species: 8, SeqLen: 100}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 5 {
-		t.Fatalf("%d datasets, want 5", len(batch))
-	}
-	// Instances must differ (RNG advances between them).
-	same := true
-	for i := 1; i < len(batch); i++ {
-		if batch[i].Matrix.String() != batch[0].Matrix.String() {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("batch produced identical instances")
-	}
-}
-
 func TestGenerateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	if _, err := Generate(rng, Params{Species: 0}); err == nil {

@@ -34,20 +34,3 @@ func FuzzParseNewick(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFromJSON: arbitrary bytes must never panic the JSON tree reader.
-func FuzzFromJSON(f *testing.F) {
-	f.Add([]byte(`{"height":2,"children":[{"name":"a"},{"name":"b"}]}`))
-	f.Add([]byte(`{"name":"solo"}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := FromJSON(data)
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(1e-9); err != nil {
-			t.Fatalf("FromJSON returned invalid tree: %v", err)
-		}
-	})
-}

@@ -63,30 +63,3 @@ func (t *Tree) Feasible(m Distances, tol float64) bool {
 	}
 	return true
 }
-
-// InducedMatrixAt fills dst[i][j] with d_T over the species present in the
-// tree; dst is indexed by species id and must be large enough. Pairs not in
-// the tree are left untouched.
-func (t *Tree) InducedMatrixAt(dst [][]float64) {
-	// Compute all pairwise LCAs in one pass: for each internal node, all
-	// cross pairs of its two child subtrees have that node as their LCA.
-	var walk func(id int) []int
-	walk = func(id int) []int {
-		n := &t.Nodes[id]
-		if n.Species >= 0 {
-			return []int{n.Species}
-		}
-		l := walk(n.Left)
-		r := walk(n.Right)
-		for _, a := range l {
-			for _, b := range r {
-				dst[a][b] = 2 * n.Height
-				dst[b][a] = 2 * n.Height
-			}
-		}
-		return append(l, r...)
-	}
-	if len(t.Nodes) > 0 {
-		walk(t.Root)
-	}
-}

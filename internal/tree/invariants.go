@@ -54,17 +54,12 @@ func (t *Tree) isAncestor(a, b int) bool {
 	return false
 }
 
-// IsClade reports whether the given species are exactly the leaf set of
-// some subtree of t — the paper's notion of the set "appearing in" the
+// CladeCheck returns nil when the given species are exactly the leaf set
+// of some subtree of t — the paper's notion of the set "appearing in" the
 // tree (Lemma 1: every compact set is a clade of a relation-faithful
-// tree). Sets of size zero or one are clades trivially (when present).
-func (t *Tree) IsClade(species []int) bool {
-	return t.CladeCheck(species) == nil
-}
-
-// CladeCheck is IsClade with a diagnostic: it returns nil when the species
-// form a clade and otherwise an error naming the first leaf that intrudes
-// into (or is missing from) the smallest subtree spanning them.
+// tree) — and otherwise an error naming the first leaf that intrudes into
+// (or is missing from) the smallest subtree spanning them. Sets of size
+// zero or one are clades trivially (when present).
 func (t *Tree) CladeCheck(species []int) error {
 	if len(species) < 2 {
 		if len(species) == 1 && t.leafNode(species[0]) == NoNode {

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // JSONNode is the nested-JSON form of a tree, convenient for web clients:
 // leaves carry a name, internal nodes carry a height and two children.
@@ -32,58 +29,4 @@ func (t *Tree) toJSON(id int) *JSONNode {
 	out.Height = n.Height
 	out.Children = []*JSONNode{t.toJSON(n.Left), t.toJSON(n.Right)}
 	return out
-}
-
-// FromJSON rebuilds a tree from its nested-JSON form. Species indices are
-// assigned in leaf order of first appearance; heights are taken from the
-// internal nodes directly (edge lengths are ignored except for
-// validation).
-func FromJSON(data []byte) (*Tree, error) {
-	var root JSONNode
-	if err := json.Unmarshal(data, &root); err != nil {
-		return nil, fmt.Errorf("tree: bad JSON: %w", err)
-	}
-	t := &Tree{}
-	names := []string{}
-	var build func(j *JSONNode, parent int) (int, error)
-	build = func(j *JSONNode, parent int) (int, error) {
-		id := len(t.Nodes)
-		switch len(j.Children) {
-		case 0:
-			if j.Name == "" {
-				return 0, fmt.Errorf("tree: leaf without a name")
-			}
-			t.Nodes = append(t.Nodes, Node{
-				Species: len(names), Left: NoNode, Right: NoNode, Parent: parent,
-			})
-			names = append(names, j.Name)
-		case 2:
-			t.Nodes = append(t.Nodes, Node{
-				Species: -1, Left: NoNode, Right: NoNode, Parent: parent, Height: j.Height,
-			})
-			l, err := build(j.Children[0], id)
-			if err != nil {
-				return 0, err
-			}
-			r, err := build(j.Children[1], id)
-			if err != nil {
-				return 0, err
-			}
-			t.Nodes[id].Left, t.Nodes[id].Right = l, r
-		default:
-			return 0, fmt.Errorf("tree: node with %d children (binary trees only)", len(j.Children))
-		}
-		return id, nil
-	}
-	root.Length = 0
-	id, err := build(&root, NoNode)
-	if err != nil {
-		return nil, err
-	}
-	t.Root = id
-	t.names = names
-	if err := t.Validate(1e-9); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

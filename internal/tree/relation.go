@@ -1,37 +1,20 @@
 package tree
 
-// This file implements the 3-3 relationship of the companion paper
-// (Definition 11) and Fan's contradiction count used to appraise how
-// faithfully a topology reflects a distance matrix.
+// This file implements the topology side of the 3-3 relationship of the
+// companion paper (Definition 11).
 
 // TripleRelation describes which pair of a species triple is the "close"
 // pair, i.e. which two species share the deepest LCA.
 type TripleRelation int
 
 // Relations of a triple (i, j, k). None means no pair is strictly closest
-// (a tie), in which case neither matrix nor topology constrains the other.
+// (a tie).
 const (
 	None TripleRelation = iota
 	IJ                  // i and j are siblings relative to k
 	IK                  // i and k are siblings relative to j
 	JK                  // j and k are siblings relative to i
 )
-
-// MatrixTriple classifies the triple (i, j, k) by the matrix: the pair
-// whose distance is strictly smaller than both distances to the third
-// species is the close pair (M[i,j] < min(M[i,k], M[j,k]) ⇒ IJ, etc.).
-func MatrixTriple(m Distances, i, j, k int) TripleRelation {
-	dij, dik, djk := m.At(i, j), m.At(i, k), m.At(j, k)
-	switch {
-	case dij < dik && dij < djk:
-		return IJ
-	case dik < dij && dik < djk:
-		return IK
-	case djk < dij && djk < dik:
-		return JK
-	}
-	return None
-}
 
 // TreeTriple classifies the triple by the topology: the pair with the
 // strictly deeper LCA is the close pair (LCA(i,j) below LCA(i,k) = LCA(j,k)
@@ -51,36 +34,4 @@ func (t *Tree) TreeTriple(i, j, k int) TripleRelation {
 		return JK
 	}
 	return None
-}
-
-// ConsistentTriple reports whether the matrix relation and the tree
-// relation agree on the triple, in the sense of Definition 11: if the
-// matrix declares a close pair, the topology must present the same pair as
-// siblings. A matrix tie constrains nothing.
-func (t *Tree) ConsistentTriple(m Distances, i, j, k int) bool {
-	mr := MatrixTriple(m, i, j, k)
-	if mr == None {
-		return true
-	}
-	tr := t.TreeTriple(i, j, k)
-	return tr == None || tr == mr
-}
-
-// CountContradictions returns the number of species triples on which the
-// matrix and the topology disagree (Fan's tree appraisal measure). Lower is
-// better; zero means the topology faithfully reflects every 3-3 relation of
-// the matrix.
-func (t *Tree) CountContradictions(m Distances) int {
-	leaves := t.Leaves()
-	bad := 0
-	for a := 0; a < len(leaves); a++ {
-		for b := a + 1; b < len(leaves); b++ {
-			for c := b + 1; c < len(leaves); c++ {
-				if !t.ConsistentTriple(m, leaves[a], leaves[b], leaves[c]) {
-					bad++
-				}
-			}
-		}
-	}
-	return bad
 }

@@ -36,6 +36,10 @@ func TestSVGBasics(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip decodes MarshalJSON's output as JSONNode: the leaves
+// carry the species names, each edge length is the parent's height minus
+// the child's, the lengths sum to the cost, and every pair of leaves meets
+// at an internal node of height d_T/2.
 func TestJSONRoundTrip(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,52 +54,50 @@ func TestJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := FromJSON(data)
-		if err != nil {
+		var root JSONNode
+		if err := json.Unmarshal(data, &root); err != nil {
 			return false
 		}
-		if back.LeafCount() != n {
-			return false
+		species := map[string]int{}
+		for i, nm := range names {
+			species[nm] = i
 		}
-		if math.Abs(back.Cost()-tr.Cost()) > 1e-9 {
-			return false
-		}
-		// Same pairwise distances under the name mapping.
-		nameIdx := map[string]int{}
-		for i, nm := range back.Names() {
-			nameIdx[nm] = i
-		}
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				ba, bok := nameIdx[names[a]]
-				bb, bok2 := nameIdx[names[b]]
-				if !bok || !bok2 {
-					return false
+		ok := root.Length == 0
+		cost := 0.0
+		// walk returns the species under j, checking j's subtree.
+		var walk func(j *JSONNode) []int
+		walk = func(j *JSONNode) []int {
+			cost += j.Length
+			if len(j.Children) == 0 {
+				s, found := species[j.Name]
+				ok = ok && found
+				return []int{s}
+			}
+			if len(j.Children) != 2 {
+				ok = false
+				return nil
+			}
+			var sides [2][]int
+			for c, ch := range j.Children {
+				if math.Abs(j.Height-ch.Height-ch.Length) > 1e-9 {
+					ok = false
 				}
-				if math.Abs(back.Dist(ba, bb)-tr.Dist(a, b)) > 1e-9 {
-					return false
+				sides[c] = walk(ch)
+			}
+			for _, a := range sides[0] {
+				for _, b := range sides[1] {
+					if math.Abs(2*j.Height-tr.Dist(a, b)) > 1e-9 {
+						ok = false
+					}
 				}
 			}
+			return append(sides[0], sides[1]...)
 		}
-		return true
+		leaves := walk(&root)
+		return ok && len(leaves) == n && math.Abs(cost-tr.Cost()) <= 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFromJSONErrors(t *testing.T) {
-	cases := []string{
-		`{`,                           // malformed
-		`{"children":[{"name":"a"}]}`, // unary node
-		`{"children":[{"name":"a"},{"name":"b"},{"name":"c"}]}`,                                      // ternary
-		`{"children":[{},{"name":"b"}]}`,                                                             // unnamed leaf
-		`{"height":1,"children":[{"name":"a"},{"height":5,"children":[{"name":"b"},{"name":"c"}]}]}`, // child above parent
-	}
-	for _, src := range cases {
-		if _, err := FromJSON([]byte(src)); err == nil {
-			t.Errorf("want error for %s", src)
-		}
 	}
 }
 

@@ -58,9 +58,6 @@ func (t *Tree) SpeciesName(s int) string {
 	return fmt.Sprintf("S%d", s+1)
 }
 
-// IsLeaf reports whether node id is a leaf.
-func (t *Tree) IsLeaf(id int) bool { return t.Nodes[id].Species >= 0 }
-
 // LeafCount returns the number of leaves.
 func (t *Tree) LeafCount() int {
 	c := 0

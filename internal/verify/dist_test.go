@@ -83,7 +83,7 @@ func TestDistGoldenPaCT(t *testing.T) {
 			t.Errorf("%s: cost %g, frozen optimum %g", e.Name, res.Cost, want)
 		}
 		for _, clade := range clades {
-			if !res.Tree.IsClade(clade) {
+			if res.Tree.CladeCheck(clade) != nil {
 				t.Errorf("%s: tree splits expected clade %v", e.Name, clade)
 			}
 		}

@@ -102,7 +102,7 @@ func TestGoldenCorpus(t *testing.T) {
 					t.Errorf("%s/%s: cost %g, frozen optimum %g", gc.file, e.Name, res.Cost, gc.want)
 				}
 				for _, clade := range gc.clades {
-					if !res.Tree.IsClade(clade) {
+					if res.Tree.CladeCheck(clade) != nil {
 						t.Errorf("%s/%s: optimal tree splits expected clade %v", gc.file, e.Name, clade)
 					}
 				}

@@ -75,7 +75,7 @@ func TestCheckTreeRejections(t *testing.T) {
 		// realization of its topology.
 		root := c.Nodes[c.Root]
 		target := root.Left
-		if c.IsLeaf(target) {
+		if c.Nodes[target].Species >= 0 {
 			target = root.Right
 		}
 		delta := root.Height - c.Nodes[target].Height
@@ -138,7 +138,7 @@ func TestCheckDecomposition(t *testing.T) {
 	}
 	violated := false
 	for _, set := range res.CompactSets {
-		if !cat.IsClade(set) {
+		if cat.CladeCheck(set) != nil {
 			violated = true
 		}
 	}
@@ -208,12 +208,12 @@ func TestTreeCladeHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, clade := range [][]int{{0, 1}, {2, 3}, {0, 1, 2, 3}, {2}} {
-		if !tr.IsClade(clade) {
+		if tr.CladeCheck(clade) != nil {
 			t.Errorf("%v should be a clade", clade)
 		}
 	}
 	for _, not := range [][]int{{0, 2}, {1, 2, 3}, {0, 1, 2}} {
-		if tr.IsClade(not) {
+		if tr.CladeCheck(not) == nil {
 			t.Errorf("%v should not be a clade", not)
 		}
 	}

@@ -122,23 +122,42 @@ func TestServerDeadlineReturns503Partial(t *testing.T) {
 	}
 }
 
-// TestBuildHonorsContext: the embedding API threads its context into the
-// engines too.
-func TestBuildHonorsContext(t *testing.T) {
+// TestFullQueueAnswers429: with the one worker solving and the depth-1
+// queue holding the next solve, both request paths shed a further
+// distinct matrix with 429 and Retry-After: 1 instead of queueing it.
+func TestFullQueueAnswers429(t *testing.T) {
 	s := NewServer()
-	s.MaxNodes = 1 << 60
-	s.Workers = 1
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	resp, err := s.Build(ctx, &Request{Matrix: hardMatrix(t, 20), Algorithm: "bb"})
-	if err != nil {
-		t.Fatal(err)
+	s.JobWorkers, s.QueueDepth = 1, 1
+	s.MaxNodes = 1 << 60 // no node budget: only cancellation can stop a solve
+	s.SolveTimeout = time.Hour
+	h := s.Handler()
+	defer s.Close()
+
+	post := func(path string, n int) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(Request{Matrix: hardMatrix(t, n), Algorithm: "bb"})
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Build ignored its context: ran %v", elapsed)
+	if rec := post("/api/jobs", 20); rec.Code != http.StatusAccepted {
+		t.Fatalf("first job: %d %s", rec.Code, rec.Body)
 	}
-	if resp.Complete || !resp.Partial {
-		t.Fatalf("context-cut build not flagged partial: %+v", resp)
+	if st, ok := waitStats(s, 5*time.Second, func(st SolverStats) bool { return st.Active == 1 }); !ok {
+		t.Fatalf("first solve never started: %+v", st)
+	}
+	if rec := post("/api/jobs", 21); rec.Code != http.StatusAccepted {
+		t.Fatalf("second job: %d %s", rec.Code, rec.Body)
+	}
+	for _, path := range []string{"/api/tree", "/api/jobs"} {
+		rec := post(path, 22)
+		if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
+			t.Errorf("POST %s with a full queue: %d, Retry-After %q; want 429 and 1",
+				path, rec.Code, rec.Header().Get("Retry-After"))
+		}
+	}
+	if st := s.Stats(); st.Shed != 2 {
+		t.Errorf("shed counter %d, want 2", st.Shed)
 	}
 }

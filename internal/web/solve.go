@@ -5,8 +5,8 @@
 //	request ──▶ canonical fingerprint ──▶ result cache ──▶ coalescer ──▶ queue ──▶ worker pool
 //
 // The cache is keyed by the matrix's permutation-invariant canonical
-// fingerprint (see matrix.Fingerprint) plus the solve options, so any
-// relabeling of an already-solved matrix is a hit. Hits are sound because
+// fingerprint (see matrix.CanonicalFingerprint) plus the solve options,
+// so any relabeling of an already-solved matrix is a hit. Hits are sound because
 // the optimal cost is invariant under species permutation (the
 // verification suite's metamorphic property) and entries store trees in
 // canonical coordinates.

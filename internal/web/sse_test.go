@@ -2,8 +2,10 @@ package web
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -85,7 +87,14 @@ func TestEventsSSEStream(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Build(context.Background(), &Request{Matrix: sampleMatrix, Algorithm: "bb"})
+		body, _ := json.Marshal(Request{Matrix: sampleMatrix, Algorithm: "bb"})
+		resp, err := http.Post(srv.URL+"/api/tree", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("POST /api/tree: status %d", resp.StatusCode)
+			}
+		}
 		done <- err
 	}()
 

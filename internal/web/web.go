@@ -135,7 +135,7 @@ func (s *Server) buildHandler() http.Handler {
 	s.recorder = obs.NewRecorder(16, 256)
 	s.bcast = obs.NewBroadcaster()
 	s.solver = newSolver(s.JobWorkers, s.QueueDepth, s.CacheSize, s.SolveTimeout,
-		s.Registry, s.solveCanonical)
+		s.Registry, s.solveMatrix)
 	s.jobs = newJobStore(s.JobRetention, s.Registry)
 
 	mux := http.NewServeMux()
@@ -402,41 +402,8 @@ func isBodyTooLarge(err error) bool {
 	return errors.As(err, &mbe)
 }
 
-// Build performs the construction for a request synchronously on the
-// caller's goroutine — the embedding API, also used by tests. It bypasses
-// the cache and the admission queue; ctx bounds the search (threaded into
-// bb.Options.Ctx / core.Options) so callers control cancellation.
-func (s *Server) Build(ctx context.Context, req *Request) (*Response, error) {
-	m, err := s.inputMatrix(req)
-	if err != nil {
-		return nil, err
-	}
-	if m.Len() < 2 {
-		return nil, fmt.Errorf("need at least 2 species, got %d", m.Len())
-	}
-	if m.Len() > s.MaxSpecies {
-		return nil, fmt.Errorf("%d species exceeds this server's limit of %d", m.Len(), s.MaxSpecies)
-	}
-	algo := req.Algorithm
-	if algo == "" {
-		algo = "compact"
-	}
-	e, err := s.solveMatrix(ctx, m, solveSpec{algorithm: algo, threeThree: req.ThreeThree}, "")
-	if err != nil {
-		return nil, err
-	}
-	resp := renderResponse(e, m.Names(), req.SVG)
-	resp.ElapsedMS = e.solveMS
-	return resp, nil
-}
-
-// solveCanonical adapts solveMatrix to the solver worker signature.
-func (s *Server) solveCanonical(ctx context.Context, mc *matrix.Matrix, spec solveSpec, solveID string) (*solveEntry, error) {
-	return s.solveMatrix(ctx, mc, spec, solveID)
-}
-
-// solveMatrix runs one construction on m (already canonical when called
-// from the worker pool) and returns the cache-shaped entry. ctx is
+// solveMatrix runs one construction on the canonical matrix m for the
+// worker pool and returns the cache-shaped entry. ctx is
 // threaded into bb.Options.Ctx and, through core.Options.BB, into every
 // decomposition sub-search, so cancelling it actually stops the
 // exponential work — the regression the old synchronous handler had.

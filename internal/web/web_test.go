@@ -2,7 +2,6 @@ package web
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"math/rand"
@@ -151,9 +150,10 @@ func TestMaxNodesMarksIncomplete(t *testing.T) {
 	s.MaxNodes = 1
 	// A uniform random metric needs far more than one expansion.
 	m := matrix.Random0100(rand.New(rand.NewSource(3)), 12).String()
-	resp, err := s.Build(context.Background(), &Request{Matrix: m, Algorithm: "bb"})
-	if err != nil {
-		t.Fatal(err)
+	body, _ := json.Marshal(Request{Matrix: m, Algorithm: "bb"})
+	rec, resp := postJSON(t, s.Handler(), string(body))
+	if resp == nil {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	if resp.Complete {
 		t.Fatal("1-node cap must mark the search incomplete")
