@@ -31,60 +31,113 @@ type Set []int
 
 // Find returns every non-trivial compact set of m (size ≥ 2 and < n), in
 // Kruskal discovery order. The full vertex set and singletons — compact by
-// convention — are omitted, matching the paper's listing.
+// convention — are omitted, matching the paper's listing. It is Detect
+// without a callback, the hierarchy dropped.
+func Find(m *matrix.Matrix) ([]Set, error) {
+	_, sets, err := Detect(m, nil)
+	return sets, err
+}
+
+// BuildHierarchy arranges the compact sets of m into their laminar tree and
+// returns it with Find's sets. The root covers all species even though V
+// itself is not a detected set. It is Detect without a callback.
+func BuildHierarchy(m *matrix.Matrix) (*Hierarchy, []Set, error) {
+	return Detect(m, nil)
+}
+
+// Detect finds the compact sets of m and builds their hierarchy in one
+// walk, and hands each internal node to ready, when ready is non-nil, the
+// moment the node is final: every node after its children, and the root
+// last. It returns the root and the sets in Kruskal discovery order; a
+// compact node's Members is its set's slice, so neither may be changed.
 //
 // Each MST edge but the last forms one candidate component A. A is tested
 // when it is next merged: by the cut property the lightest edge leaving A
 // is the MST edge that next merges it, so that edge's weight is
 // Min(A, V∖A). Max(A) grows by the cross pairs of each merge, which visits
-// every pair once, so Find takes O(n²) time and O(n) extra memory besides
-// the sets it returns.
-func Find(m *matrix.Matrix) ([]Set, error) {
+// every pair once. No test weighs more than the heaviest MST edge, so once
+// Max(A) reaches it neither A nor any component holding A can be compact:
+// the cross scan stops there, and later merges of A scan nothing. Every
+// compact set inside A is confirmed by A's test, since its own next merge
+// lies inside A, so each component carries the list of its maximal
+// confirmed parts, compact nodes and singleton leaves; a merge
+// concatenates the two lists, and a confirmation wraps its list into A's
+// node. Detect takes O(n²) time and O(n) extra memory besides its output.
+func Detect(m *matrix.Matrix, ready func(*Hierarchy)) (*Hierarchy, []Set, error) {
 	n := m.Len()
 	if n == 0 {
-		return nil, fmt.Errorf("compact: empty matrix")
+		return nil, nil, fmt.Errorf("compact: empty matrix")
 	}
 	mst, err := graph.MST(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	uf := graph.NewUnionFind(n)
+	// The leaves, and the members of every singleton component, share one
+	// array; a capacity of one makes mergeSorted copy out of it.
+	all := make([]int, n)
+	leaves := make([]Hierarchy, n)
+	leafPtrs := make([]*Hierarchy, n)
 	// Per root: the component's sorted members, its largest internal
-	// distance, and the index of the MST edge that formed it (-1 for a
-	// singleton, which is no candidate).
+	// distance, the index of the MST edge that formed it (-1 for a
+	// singleton, which is no candidate), and its maximal confirmed parts.
 	members := make([][]int, n)
 	maxIn := make([]float64, n)
 	formed := make([]int, n)
-	for v := range members {
-		members[v] = []int{v}
+	parts := make([][]*Hierarchy, n)
+	for v := range all {
+		all[v] = v
+		members[v] = all[v : v+1 : v+1]
+		leaves[v] = Hierarchy{Members: members[v], Compact: true}
+		leafPtrs[v] = &leaves[v]
+		parts[v] = leafPtrs[v : v+1 : v+1]
 		formed[v] = -1
 	}
+	if n == 1 {
+		return &Hierarchy{Members: all}, nil, nil // a lone species is a leaf
+	}
+	uf := graph.NewUnionFind(n)
 	// found[i] is the set mst[i] formed, if it proved compact. The last
 	// edge forms V itself, which is not reported.
-	found := make([]Set, max(n-2, 0))
+	found := make([]Set, n-2)
+	top := mst[n-2].Weight // the heaviest edge, which weighs every test at most
 	for i, e := range mst {
 		ra, rb := uf.Find(e.U), uf.Find(e.V)
 		for _, r := range [2]int{ra, rb} {
 			if formed[r] >= 0 && maxIn[r] < e.Weight {
-				found[formed[r]] = Set(slices.Clone(members[r]))
+				s := Set(slices.Clone(members[r]))
+				found[formed[r]] = s
+				parts[r] = []*Hierarchy{wrap(s, parts[r], true, ready)}
 			}
 		}
 		cross := 0.0
-		for _, a := range members[ra] {
-			row := m.Row(a)
-			for _, b := range members[rb] {
-				if d := row[b]; d > cross {
-					cross = d
+		if maxIn[ra] < top && maxIn[rb] < top {
+		scan:
+			for _, a := range members[ra] {
+				row := m.Row(a)
+				for _, b := range members[rb] {
+					if d := row[b]; d > cross {
+						if cross = d; cross >= top {
+							break scan
+						}
+					}
 				}
 			}
 		}
 		newMax := math.Max(cross, math.Max(maxIn[ra], maxIn[rb]))
 		merged := mergeSorted(members[ra], members[rb])
-		members[ra], members[rb] = nil, nil // only the new root's list stays live
+		pa, pb := parts[ra], parts[rb]
+		if cap(pa) < cap(pb) {
+			pa, pb = pb, pa // append onto the roomier list
+		}
+		joined := append(pa, pb...)
+		// Only the new root's lists stay live.
+		members[ra], members[rb], parts[ra], parts[rb] = nil, nil, nil, nil
 		uf.Union(ra, rb)
 		r := uf.Find(ra)
-		members[r], maxIn[r], formed[r] = merged, newMax, i
+		members[r], maxIn[r], formed[r], parts[r] = merged, newMax, i, joined
 	}
+	r := uf.Find(0)
+	root := wrap(members[r], parts[r], false, ready)
 	sets := found[:0]
 	for _, s := range found {
 		if s != nil {
@@ -92,9 +145,20 @@ func Find(m *matrix.Matrix) ([]Set, error) {
 		}
 	}
 	if len(sets) == 0 {
-		return nil, nil
+		sets = nil
 	}
-	return sets, nil
+	return root, sets, nil
+}
+
+// wrap makes the hierarchy node of a component from its maximal confirmed
+// parts, sorted by first member, and hands it to ready.
+func wrap(members []int, parts []*Hierarchy, compact bool, ready func(*Hierarchy)) *Hierarchy {
+	slices.SortFunc(parts, func(a, b *Hierarchy) int { return cmp.Compare(a.Members[0], b.Members[0]) })
+	h := &Hierarchy{Members: members, Children: parts, Compact: compact}
+	if ready != nil {
+		ready(h)
+	}
+	return h
 }
 
 // mergeSorted merges two sorted, disjoint member lists into the larger
@@ -294,52 +358,4 @@ func CheckHierarchy(m *matrix.Matrix, h *Hierarchy) error {
 		}
 	}
 	return nil
-}
-
-// BuildHierarchy arranges the compact sets of m into their laminar tree.
-// The root covers all species even though V itself is not a detected set.
-func BuildHierarchy(m *matrix.Matrix) (*Hierarchy, []Set, error) {
-	sets, err := Find(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := m.Len()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	root := &Hierarchy{Members: all, Compact: false}
-	if n == 1 {
-		return root, sets, nil // a lone species is a leaf
-	}
-	// Place sets from largest to smallest. owner[v] is the smallest group
-	// placed so far that contains species v; by laminarity every member of
-	// the next set has the same owner, and that owner is the set's parent.
-	owner := make([]*Hierarchy, n)
-	for v := range owner {
-		owner[v] = root
-	}
-	ordered := slices.Clone(sets)
-	slices.SortFunc(ordered, func(a, b Set) int { return cmp.Compare(len(b), len(a)) })
-	groups := make([]*Hierarchy, 0, len(sets)+1)
-	groups = append(groups, root)
-	for _, s := range ordered {
-		node := &Hierarchy{Members: slices.Clone(s), Compact: true}
-		parent := owner[s[0]]
-		parent.Children = append(parent.Children, node)
-		for _, v := range s {
-			owner[v] = node
-		}
-		groups = append(groups, node)
-	}
-	// Each species no set child covers becomes a leaf of its owner.
-	for v, o := range owner {
-		o.Children = append(o.Children, &Hierarchy{Members: []int{v}, Compact: true})
-	}
-	for _, g := range groups {
-		slices.SortFunc(g.Children, func(a, b *Hierarchy) int {
-			return cmp.Compare(a.Members[0], b.Members[0])
-		})
-	}
-	return root, sets, nil
 }

@@ -1,11 +1,13 @@
 package compact
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,47 @@ func referenceFill(h *Hierarchy) {
 	})
 }
 
+// ownerHierarchy is the hierarchy pass Detect replaced: it places sets
+// from largest to smallest, each under the owner of its first member (the
+// smallest group placed so far that contains it), makes every species no
+// set covers a leaf of its owner, and sorts each node's children by first
+// member.
+func ownerHierarchy(n int, sets []Set) *Hierarchy {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	root := &Hierarchy{Members: all, Compact: false}
+	if n == 1 {
+		return root
+	}
+	owner := make([]*Hierarchy, n)
+	for v := range owner {
+		owner[v] = root
+	}
+	ordered := slices.Clone(sets)
+	slices.SortFunc(ordered, func(a, b Set) int { return cmp.Compare(len(b), len(a)) })
+	groups := []*Hierarchy{root}
+	for _, s := range ordered {
+		node := &Hierarchy{Members: slices.Clone(s), Compact: true}
+		parent := owner[s[0]]
+		parent.Children = append(parent.Children, node)
+		for _, v := range s {
+			owner[v] = node
+		}
+		groups = append(groups, node)
+	}
+	for v, o := range owner {
+		o.Children = append(o.Children, &Hierarchy{Members: []int{v}, Compact: true})
+	}
+	for _, g := range groups {
+		slices.SortFunc(g.Children, func(a, b *Hierarchy) int {
+			return cmp.Compare(a.Members[0], b.Members[0])
+		})
+	}
+	return root
+}
+
 // seqsimMatrix is an mtDNA-like Hamming matrix over n species, as the
 // decomposition benchmark draws them: integer distances in a narrow range,
 // so ties are everywhere.
@@ -135,8 +178,10 @@ func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
 }
 
 // matchesReference reports whether Find returns the reference's sets in
-// the reference's order and BuildHierarchy the reference's tree, Compact
-// flags included.
+// the reference's order, and Detect and BuildHierarchy the tree that both
+// the top-down insertion and the owner pass build from them, Compact
+// flags and child order included, with ready seeing the nodes in an
+// order they can be solved in.
 func matchesReference(t *testing.T, m *matrix.Matrix) bool {
 	t.Helper()
 	want := referenceFind(m)
@@ -148,30 +193,96 @@ func matchesReference(t *testing.T, m *matrix.Matrix) bool {
 		t.Errorf("n=%d: Find = %v, reference %v", m.Len(), sets, want)
 		return false
 	}
-	h, hsets, err := BuildHierarchy(m)
+	var seen []*Hierarchy
+	h, hsets, err := Detect(m, func(h *Hierarchy) { seen = append(seen, h) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := referenceHierarchy(m.Len(), want)
-	if !reflect.DeepEqual(hsets, want) || !reflect.DeepEqual(h, ref) {
-		t.Errorf("n=%d: BuildHierarchy = %s, reference %s", m.Len(), h, ref)
+	if !reflect.DeepEqual(hsets, want) || !reflect.DeepEqual(h, ref) ||
+		!reflect.DeepEqual(h, ownerHierarchy(m.Len(), want)) {
+		t.Errorf("n=%d: Detect = %s, reference %s", m.Len(), h, ref)
+		return false
+	}
+	if b, _, err := BuildHierarchy(m); err != nil || !reflect.DeepEqual(b, ref) {
+		t.Errorf("n=%d: BuildHierarchy = %v, %v; reference %s", m.Len(), b, err, ref)
+		return false
+	}
+	if err := readyOrder(h, seen); err != nil {
+		t.Errorf("n=%d: %v", m.Len(), err)
 		return false
 	}
 	return true
 }
 
+// readyOrder checks that seen holds every internal node of h once, each
+// after its internal children, and h last.
+func readyOrder(h *Hierarchy, seen []*Hierarchy) error {
+	at := make(map[*Hierarchy]int, len(seen))
+	for i, g := range seen {
+		if _, dup := at[g]; dup {
+			return fmt.Errorf("node %v handed over twice", g.Members)
+		}
+		at[g] = i
+	}
+	post := h.PostOrder()
+	if len(seen) != len(post) {
+		return fmt.Errorf("%d nodes handed over, %d internal nodes", len(seen), len(post))
+	}
+	for _, g := range post {
+		i, ok := at[g]
+		if !ok {
+			return fmt.Errorf("node %v never handed over", g.Members)
+		}
+		for _, ch := range g.Children {
+			if !ch.IsLeaf() && at[ch] > i {
+				return fmt.Errorf("node %v handed over before its child %v", g.Members, ch.Members)
+			}
+		}
+	}
+	if len(seen) > 0 && seen[len(seen)-1] != h {
+		return fmt.Errorf("the root was not handed over last")
+	}
+	return nil
+}
+
+// valued fills an n×n matrix with distances drawn by d.
+func valued(n int, d func() float64) *matrix.Matrix {
+	m := matrix.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, d())
+		}
+	}
+	return m
+}
+
+// TestFindMatchesReference covers ties of every kind: heavy ties among
+// a few integers, all-equal and two-valued matrices, and a metric scaled
+// by 0.1, whose distances round.
 func TestFindMatchesReference(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
 		var m *matrix.Matrix
-		switch seed % 3 {
+		switch rng.Intn(6) {
 		case 0:
 			m = matrix.RandomMetric(rng, n, 50, 100)
 		case 1:
 			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
-		default:
+		case 2:
 			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+		case 3:
+			m = matrix.RandomMetric(rng, n, 50, 100)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					m.Set(i, j, 0.1*m.At(i, j))
+				}
+			}
+		case 4:
+			m = valued(n, func() float64 { return 7 })
+		default:
+			m = valued(n, func() float64 { return float64(1 + rng.Intn(2)) })
 		}
 		return matchesReference(t, m)
 	}

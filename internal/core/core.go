@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"evotree/internal/bb"
@@ -38,8 +37,9 @@ type Options struct {
 	// costs one unit per pbb worker it is granted (at least one, at most
 	// Workers), so machine load never exceeds Workers no matter how many
 	// hierarchy nodes are solvable at once. Workers also sizes the pool
-	// that reduces and solves the hierarchy nodes, so at most Workers
-	// nodes are in progress at a time.
+	// that reduces and solves the hierarchy nodes while compact-set
+	// detection runs; detection holds one unit until it returns, so at
+	// most Workers of detection and the nodes are in progress at a time.
 	Workers int
 	// BB carries the branch-and-bound options (max–min, 3-3, MaxNodes...).
 	BB bb.Options
@@ -140,29 +140,32 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			opt.Probe.Emit(ev)
 		}
 	}
-	emit(obs.Event{Kind: obs.PhaseStart, Phase: "compact-detect", N: m.Len()})
-	detectStart := time.Now()
-	hier, sets, err := compact.BuildHierarchy(m)
-	if err != nil {
-		return nil, err
-	}
-	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "compact-detect",
-		N: len(sets), Elapsed: time.Since(detectStart)})
-
-	// Reduce and solve the internal hierarchy nodes from a flat list that
-	// at most opt.Workers goroutines claim, so independent nodes run
-	// concurrently — the "constructing evolutionary tree in parallel" of
-	// the paper's title — and Reduce stays inside the worker budget too.
-	// A node needs only the input and its children's members, so any
-	// order works; each result goes to the node's own slot, and the tree
-	// is assembled once all are in. The semaphore is weighted in
-	// search-goroutine units: a sequential solve costs one unit and a
-	// parallel solve costs one unit per pbb worker it actually runs, so
-	// the total number of search goroutines never exceeds opt.Workers.
+	// Reduce and solve the internal hierarchy nodes while detection still
+	// runs — the "constructing evolutionary tree in parallel" of the
+	// paper's title. Detection hands each node over the moment it is final
+	// (children first, the root last); opt.Workers−1 goroutines take the
+	// largest ready node first, and the caller joins them once detection
+	// returns, starting at once on the root. A node needs only the input
+	// and its children's members, so any order works; each result goes to
+	// the node's own job, and the tree is assembled once all are in. The
+	// semaphore is weighted in search-goroutine units: detection holds one
+	// unit and then works with it, a goroutine holds one while it works
+	// through ready nodes, and a parallel solve adds one per further pbb
+	// worker, so detection, reductions and searches never run on more than
+	// opt.Workers goroutines together.
 	sem := newWorkerSem(opt.Workers)
+	detectUnit := sem.acquireUpTo(1)
 	// solve reduces internal node h and solves its small matrix; id tags
 	// the node's telemetry events.
 	solve := func(id int, h *compact.Hierarchy) solved {
+		// A big node adds the units free now to its goroutine's one.
+		grant := 1
+		parallel := len(h.Children) >= parallelThreshold && opt.Workers > 1
+		if parallel {
+			extra := sem.take(opt.Workers - 1)
+			defer sem.release(extra)
+			grant += extra
+		}
 		reduceStart := time.Now()
 		small, _, err := compact.Reduce(m, h, opt.Reduction)
 		if err != nil {
@@ -172,34 +175,26 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			N: small.Len(), Elapsed: time.Since(reduceStart)})
 		emit(obs.Event{Kind: obs.SubproblemStart, Worker: id,
 			N: small.Len(), Elapsed: time.Since(pipeStart)})
-		// The searches below restart the clock once the semaphore grants
-		// their workers, so SubproblemFinish.Elapsed excludes queueing.
 		solveStart := time.Now()
 		s := solved{optimal: true}
 		switch {
 		case small.Len() == 1:
 			s.tree = tree.New(0)
-		case small.Len() >= parallelThreshold && opt.Workers > 1:
+		case parallel:
 			// Big subproblem: the parallel engine, as in the paper. It runs
-			// with as many workers as the semaphore can spare right now (at
-			// least one), so concurrent subproblems share the worker budget
+			// with as many workers as the semaphore could spare (at least
+			// one), so concurrent subproblems share the worker budget
 			// instead of multiplying it.
-			grant := sem.acquireUpTo(opt.Workers)
-			solveStart = time.Now()
 			pres, err := pbb.Solve(small, pbb.Options{
 				Options: opt.BB, Workers: grant, InitialFanout: 2,
 			})
-			sem.release(grant)
 			if err != nil {
 				return solved{err: err}
 			}
 			s.tree, s.sub.Cost, s.stats = pres.Tree, pres.Cost, pres.Stats
 			s.sched, s.optimal = pres.Sched, pres.Optimal
 		default:
-			grant := sem.acquireUpTo(1)
-			solveStart = time.Now()
 			sres, err := bb.Solve(small, opt.BB)
-			sem.release(grant)
 			if err != nil {
 				return solved{err: err}
 			}
@@ -213,37 +208,58 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		return s
 	}
 
-	nodes := hier.PostOrder()
-	slots := make([]solved, len(nodes))
-	var next atomic.Int64
-	var failed atomic.Bool
+	q := newReadyQueue()
+	// work reduces and solves ready nodes, largest first, until none is
+	// ready; its goroutine holds one unit meanwhile.
+	work := func() {
+		for j := q.pop(); j != nil; j = q.pop() {
+			j.solved = solve(j.id, j.h)
+			if j.err != nil {
+				q.fail() // the remaining nodes are skipped
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for range min(opt.Workers, len(nodes)) {
+	for range opt.Workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// After the first error the remaining nodes are skipped.
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				slots[i] = solve(i, nodes[i])
-				if slots[i].err != nil {
-					failed.Store(true)
-				}
+			// Between runs of ready nodes the unit goes back, so a big
+			// node can take it.
+			for q.wait() {
+				unit := sem.acquireUpTo(1)
+				work()
+				sem.release(unit)
 			}
 		}()
 	}
+	emit(obs.Event{Kind: obs.PhaseStart, Phase: "compact-detect", N: m.Len()})
+	detectStart := time.Now()
+	hier, sets, err := compact.Detect(m, q.push)
+	q.close()
+	if err == nil {
+		emit(obs.Event{Kind: obs.PhaseEnd, Phase: "compact-detect",
+			N: len(sets), Elapsed: time.Since(detectStart)})
+		// The caller completes the pool with detection's unit and starts
+		// on the root, the largest node, at once.
+		work()
+	}
+	sem.release(detectUnit)
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
 
+	// Fold the results in post-order, so Subproblems lists them in the
+	// same order at every worker count.
 	res := &Result{CompactSets: sets, Optimal: true}
-	trees := make(map[*compact.Hierarchy]*tree.Tree, len(nodes))
-	for i, s := range slots {
+	trees := make(map[*compact.Hierarchy]*tree.Tree, len(q.jobs))
+	for _, h := range hier.PostOrder() {
+		s := q.jobs[h].solved
 		if s.err != nil {
 			return nil, s.err
 		}
-		trees[nodes[i]] = s.tree
+		trees[h] = s.tree
 		res.Subproblems = append(res.Subproblems, s.sub)
 		res.Stats.Add(s.stats)
 		res.Sched.Add(s.sched)

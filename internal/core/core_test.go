@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -291,11 +292,14 @@ func seqsimMatrix(t *testing.T, seed int64, n int) *matrix.Matrix {
 	return ds.Matrix
 }
 
-// TestSubproblemsInFlightWithinWorkers pins the work list's bound: a
+// TestSubproblemsInFlightWithinWorkers pins the pool's bound: a
 // subproblem is in flight from its SubproblemStart to its
-// SubproblemFinish, and at most Workers are in flight at once, because
-// only Workers goroutines take nodes off the list.
+// SubproblemFinish, detection from its PhaseStart to its PhaseEnd, and at
+// most Workers are in flight at once, because detection holds one unit of
+// the worker semaphore until it returns and a node runs only on a
+// goroutine that holds a unit.
 func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
+	const detect = -1 // detection's key; subproblem ids are ≥ 0
 	m := seqsimMatrix(t, 5, 400)
 	for _, workers := range []int{1, 2, 3} {
 		var mu sync.Mutex
@@ -306,6 +310,11 @@ func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
+			case ev.Kind == obs.PhaseStart && ev.Phase == "compact-detect":
+				inFlight[detect] = true
+				peak = max(peak, len(inFlight))
+			case ev.Kind == obs.PhaseEnd && ev.Phase == "compact-detect":
+				delete(inFlight, detect)
 			case ev.Kind == obs.SubproblemStart:
 				inFlight[ev.Worker] = true
 				started++
@@ -322,12 +331,56 @@ func TestSubproblemsInFlightWithinWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d subproblems started, %d solved", workers, started, len(res.Subproblems))
 		}
 		if len(inFlight) != 0 {
-			t.Fatalf("workers=%d: %d subproblems started and never finished", workers, len(inFlight))
+			t.Fatalf("workers=%d: %d stages started and never finished", workers, len(inFlight))
 		}
 		if peak > workers {
-			t.Fatalf("workers=%d: %d subproblems in flight at once", workers, peak)
+			t.Fatalf("workers=%d: %d stages in flight at once", workers, peak)
 		}
 	}
+}
+
+// TestSubproblemsStartDuringDetection pins the streaming: with a second
+// worker the pool solves confirmed nodes while detection still walks the
+// MST, so a SubproblemStart arrives before detection's PhaseEnd; with one
+// worker detection holds the only unit, and none may. The goroutine that
+// solves has to be scheduled while detection runs, which a busy machine
+// may delay for many constructs, so the two-worker case gets up to five
+// seconds of constructs to show it.
+func TestSubproblemsStartDuringDetection(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("streaming needs two threads to overlap detection and solving")
+	}
+	m := seqsimMatrix(t, 5, 400)
+	// early counts the SubproblemStart events before detection's PhaseEnd.
+	early := func(workers int) int {
+		var mu sync.Mutex
+		detected, n := false, 0
+		opt := DefaultOptions(workers)
+		opt.Probe = obs.ProbeFunc(func(ev obs.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case ev.Kind == obs.PhaseEnd && ev.Phase == "compact-detect":
+				detected = true
+			case ev.Kind == obs.SubproblemStart && !detected:
+				n++
+			}
+		})
+		if _, err := Construct(m, opt); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := early(1); n != 0 {
+		t.Fatalf("workers=1: %d subproblems started during detection", n)
+	}
+	tries := 0
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); tries++ {
+		if early(2) > 0 {
+			return
+		}
+	}
+	t.Fatalf("workers=2: no subproblem started during detection in %d constructs", tries)
 }
 
 // TestWorkerCountsAgree checks that the worker count changes only who

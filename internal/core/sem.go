@@ -3,11 +3,11 @@ package core
 import "sync"
 
 // workerSem is a weighted semaphore measured in search-goroutine units. The
-// decomposition pipeline sizes it to Options.Workers and charges every solve
-// for the goroutines it actually runs: one unit for a sequential search,
-// one per pbb worker for a parallel one. That caps the machine-wide search
-// concurrency at Options.Workers no matter how many subproblems the
-// hierarchy solves at once.
+// decomposition pipeline sizes it to Options.Workers and charges detection
+// and every solve for the goroutines they actually run: one unit for
+// detection or a sequential search, one per pbb worker for a parallel
+// one. That caps the machine-wide search concurrency at Options.Workers no
+// matter how many subproblems the hierarchy solves at once.
 //
 // Waiters queue FIFO, and each is granted as soon as at least one unit is
 // free (a partial grant of min(available, want)): a solve never deadlocks
@@ -49,6 +49,16 @@ func (s *workerSem) acquireUpTo(want int) int {
 	s.wants = append(s.wants, want)
 	s.mu.Unlock()
 	return <-ch
+}
+
+// take takes up to want free units without waiting and returns how many
+// it got, possibly none.
+func (s *workerSem) take(want int) int {
+	s.mu.Lock()
+	grant := max(min(want, s.avail), 0)
+	s.avail -= grant
+	s.mu.Unlock()
+	return grant
 }
 
 // release returns n units and hands them to queued waiters in FIFO order.

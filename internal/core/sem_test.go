@@ -36,6 +36,24 @@ func TestWorkerSemPartialGrantsAndFIFO(t *testing.T) {
 	}
 }
 
+// TestWorkerSemTakeNeverWaits pins take, which adds a parallel solve's
+// further pbb workers: it returns the free units up to want, and none,
+// without blocking, when every unit is held.
+func TestWorkerSemTakeNeverWaits(t *testing.T) {
+	s := newWorkerSem(3)
+	s.acquireUpTo(1)
+	if got := s.take(5); got != 2 {
+		t.Fatalf("take got %d of 2 free units", got)
+	}
+	if got := s.take(1); got != 0 {
+		t.Fatalf("take on a held semaphore got %d, want 0", got)
+	}
+	s.release(2)
+	if got := s.take(1); got != 1 {
+		t.Fatalf("take after a release got %d, want 1", got)
+	}
+}
+
 func TestWorkerSemNeverOversubscribes(t *testing.T) {
 	const units, goroutines = 3, 20
 	s := newWorkerSem(units)

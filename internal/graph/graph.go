@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -108,45 +109,43 @@ func MST(w Weights) ([]Edge, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("graph: MST of empty vertex set")
 	}
-	// rest lists the vertices not yet in the tree in ascending order, so
-	// each row is read front to back. The least edge joining rest[k] to
-	// the tree has weight restW[k] and tree endpoint restFrom[k]; all the
-	// candidates for it touch rest[k], so the strict order ranks two of
-	// equal weight by their tree endpoint alone, and a tie keeps the
-	// smaller one.
+	// rest lists the vertices not yet in the tree. The least edge joining
+	// rest[k] to the tree has weight restW[k] and tree endpoint
+	// restFrom[k]; all the candidates for it touch rest[k], so the strict
+	// order ranks two of equal weight by their tree endpoint alone, and a
+	// tie keeps the smaller one.
 	rest := make([]int, n-1)
 	restW := make([]float64, n-1)
 	restFrom := make([]int, n-1) // all 0: vertex 0 starts the tree
-	row := w.Row(0)
 	for k := range rest {
-		rest[k], restW[k] = k+1, row[k+1]
+		rest[k], restW[k] = k+1, math.Inf(1)
 	}
 	out := make([]Edge, 0, n-1)
-	for len(rest) > 0 {
-		// The least edge leaving the tree, under the strict order.
-		kn := 0
-		e := Edge{U: min(restFrom[0], rest[0]), V: max(restFrom[0], rest[0]), Weight: restW[0]}
-		for k := 1; k < len(rest); k++ {
-			if wk := restW[k]; wk <= e.Weight {
-				u, v := min(restFrom[k], rest[k]), max(restFrom[k], rest[k])
-				if wk < e.Weight || u < e.U || u == e.U && v < e.V {
-					kn, e = k, Edge{U: u, V: v, Weight: wk}
+	for t := 0; len(rest) > 0; {
+		// One pass: t has just joined, so its row may offer cheaper edges,
+		// and the least edge leaving the tree, under the strict order, is
+		// picked as the keys settle. The keys, cut to rest's length, need
+		// no bounds checks.
+		row := w.Row(t)
+		ws, from := restW[:len(rest)], restFrom[:len(rest)]
+		kn, e := 0, Edge{U: n, V: n, Weight: math.Inf(1)}
+		for k, v := range rest {
+			if d := row[v]; d < ws[k] || d == ws[k] && t < from[k] {
+				ws[k], from[k] = d, t
+			}
+			if wk := ws[k]; wk <= e.Weight {
+				u, x := min(from[k], v), max(from[k], v)
+				if wk < e.Weight || u < e.U || u == e.U && x < e.V {
+					kn, e = k, Edge{U: u, V: x, Weight: wk}
 				}
 			}
 		}
 		out = append(out, e)
-		t, last := rest[kn], len(rest)-1
-		copy(rest[kn:], rest[kn+1:])
-		copy(restW[kn:], restW[kn+1:])
-		copy(restFrom[kn:], restFrom[kn+1:])
-		rest, restW, restFrom = rest[:last], restW[:last], restFrom[:last]
-		// t joins the tree: its row may offer cheaper edges.
-		row := w.Row(t)
-		for k, v := range rest {
-			if d := row[v]; d < restW[k] || d == restW[k] && t < restFrom[k] {
-				restW[k], restFrom[k] = d, t
-			}
-		}
+		// The last vertex takes the joined one's slot.
+		t = rest[kn]
+		last := len(rest) - 1
+		rest[kn], ws[kn], from[kn] = rest[last], ws[last], from[last]
+		rest = rest[:last]
 	}
 	SortEdges(out)
 	return out, nil

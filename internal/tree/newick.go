@@ -8,30 +8,32 @@ import (
 
 // Newick renders the tree in Newick format with branch lengths, e.g.
 // "((A:1,B:1):0.5,C:1.5);". Leaf labels come from the attached species
-// names (SpeciesName).
+// names (SpeciesName). Each length is written as %g writes it: the
+// shortest decimal that reads back to the same float64.
 func (t *Tree) Newick() string {
-	var b strings.Builder
+	buf := make([]byte, 0, 16*len(t.Nodes)+1)
 	var walk func(id int)
 	walk = func(id int) {
 		n := &t.Nodes[id]
 		if n.Species >= 0 {
-			b.WriteString(escapeNewick(t.SpeciesName(n.Species)))
+			buf = append(buf, escapeNewick(t.SpeciesName(n.Species))...)
 		} else {
-			b.WriteByte('(')
+			buf = append(buf, '(')
 			walk(n.Left)
-			b.WriteByte(',')
+			buf = append(buf, ',')
 			walk(n.Right)
-			b.WriteByte(')')
+			buf = append(buf, ')')
 		}
 		if n.Parent != NoNode {
-			fmt.Fprintf(&b, ":%g", t.Nodes[n.Parent].Height-n.Height)
+			buf = append(buf, ':')
+			buf = strconv.AppendFloat(buf, t.Nodes[n.Parent].Height-n.Height, 'g', -1, 64)
 		}
 	}
 	if len(t.Nodes) > 0 {
 		walk(t.Root)
 	}
-	b.WriteByte(';')
-	return b.String()
+	buf = append(buf, ';')
+	return string(buf)
 }
 
 func escapeNewick(s string) string {

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Ascii renders the tree as a text dendrogram, one node per line, with
 // internal node heights in brackets:
@@ -22,34 +19,41 @@ func (t *Tree) Ascii() string {
 	if len(t.Nodes) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	var walk func(id int, prefix string, last bool, root bool)
-	walk = func(id int, prefix string, last, root bool) {
+	// prefix holds the rails of the node's ancestors; each level appends
+	// its three columns and cuts them off again on the way back.
+	var buf, prefix []byte
+	var walk func(id int, last, root bool)
+	walk = func(id int, last, root bool) {
 		n := &t.Nodes[id]
 		if !root {
-			connector := "├─ "
+			buf = append(buf, prefix...)
 			if last {
-				connector = "└─ "
+				buf = append(buf, "└─ "...)
+			} else {
+				buf = append(buf, "├─ "...)
 			}
-			b.WriteString(prefix + connector)
 		}
 		if n.Species >= 0 {
-			b.WriteString(t.SpeciesName(n.Species))
-			b.WriteByte('\n')
+			buf = append(buf, t.SpeciesName(n.Species)...)
+			buf = append(buf, '\n')
 			return
 		}
-		fmt.Fprintf(&b, "[%.6g]\n", n.Height)
-		childPrefix := prefix
+		// The height as %.6g writes it.
+		buf = append(buf, '[')
+		buf = strconv.AppendFloat(buf, n.Height, 'g', 6, 64)
+		buf = append(buf, "]\n"...)
+		depth := len(prefix)
 		if !root {
 			if last {
-				childPrefix += "   "
+				prefix = append(prefix, "   "...)
 			} else {
-				childPrefix += "│  "
+				prefix = append(prefix, "│  "...)
 			}
 		}
-		walk(n.Left, childPrefix, false, false)
-		walk(n.Right, childPrefix, true, false)
+		walk(n.Left, false, false)
+		walk(n.Right, true, false)
+		prefix = prefix[:depth]
 	}
-	walk(t.Root, "", true, true)
-	return b.String()
+	walk(t.Root, true, true)
+	return string(buf)
 }

@@ -12,6 +12,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // NoNode marks an absent parent/child link.
@@ -55,7 +56,7 @@ func (t *Tree) SpeciesName(s int) string {
 	if s >= 0 && s < len(t.names) && t.names[s] != "" {
 		return t.names[s]
 	}
-	return fmt.Sprintf("S%d", s+1)
+	return "S" + strconv.Itoa(s+1)
 }
 
 // LeafCount returns the number of leaves.
