@@ -30,13 +30,12 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("evobench", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "", "experiment id, comma list, or 'all'")
-		list     = fs.Bool("list", false, "list experiment ids and exit")
-		seed     = fs.Int64("seed", 2005, "workload RNG seed")
-		workers  = fs.Int("workers", 4, "goroutine workers for real parallel runs")
-		quick    = fs.Bool("quick", false, "shrink sweeps for a fast run")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text tables")
-		benchout = fs.String("benchout", "", "write the frontier experiment's JSON report to this file")
+		fig     = fs.String("fig", "", "experiment id, comma list, or 'all'")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		seed    = fs.Int64("seed", 2005, "workload RNG seed")
+		workers = fs.Int("workers", 4, "goroutine workers for real parallel runs")
+		quick   = fs.Bool("quick", false, "shrink sweeps for a fast run")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text tables")
 	)
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
@@ -52,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("pick an experiment with -fig (or -list)")
 	}
-	cfg := experiments.Config{Seed: *seed, Workers: *workers, Quick: *quick, BenchOut: *benchout}
+	cfg := experiments.Config{Seed: *seed, Workers: *workers, Quick: *quick}
 	ids := experiments.IDs()
 	if *fig != "all" {
 		ids = strings.Split(*fig, ",")

@@ -67,7 +67,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		threeT    = fs.Bool("33", false, "apply the 3-3 relationship at the third species")
 		threeTAll = fs.Bool("33all", false, "apply the generalized per-insertion 3-3 filter")
 		propagate = fs.Bool("propagate", false, "re-bound popped nodes with the incremental ultrametric propagation bound (exact)")
-		dominance = fs.Bool("dominance", false, "apply the twin dominance/symmetry insertion rules (exact, single optimum)")
 		noMaxMin  = fs.Bool("no-maxmin", false, "disable the max-min species relabeling")
 		reduction = fs.String("reduction", "maximum", "group distance rule: maximum|minimum|average")
 		maxNodes  = fs.Int64("max-nodes", 0, "abort the search after this many expansions (0 = unlimited)")
@@ -168,7 +167,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		Constraints: bb.Constraints{
 			ThreeThree:    *threeT,
 			ThreeThreeAll: *threeTAll,
-			Dominance:     *dominance,
 		},
 		Propagate: *propagate,
 		MaxNodes:  *maxNodes,
@@ -253,7 +251,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 		if progressOn {
-			printSearchSummary(stderr, res.Stats, res.Sched)
+			printSearchSummary(stderr, res.Stats, pbb.SchedStats{})
 		}
 		if *showStats {
 			fmt.Fprintf(stdout, "# farm: units=%d done=%d dispatches=%d requeues=%d stale=%d broadcasts=%d workers=%d\n",
@@ -274,7 +272,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if progressOn {
 			printSearchSummary(stderr, res.Stats, pbb.SchedStats{})
 		}
-		return printResult(stdout, m, res.Tree, res.Cost, true, res.Stats, res.CompactSets, *quiet, *showStats, *showSets, *ascii)
+		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, res.CompactSets, *quiet, *showStats, *showSets, *ascii)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
@@ -301,10 +299,9 @@ func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
 		fmt.Fprintf(w, "# expanded=%d generated=%d pruned=%d solutions=%d ub-updates=%d max-pool=%d\n",
 			stats.Expanded, stats.Generated, stats.Pruned.Total(), stats.Solutions,
 			stats.UBUpdates, stats.MaxPoolLen)
-		fmt.Fprintf(w, "# pruned-by-rule: bound=%d incumbent=%d threethree=%d constraint=%d ultrametric=%d dominance=%d budget=%d\n",
+		fmt.Fprintf(w, "# pruned-by-rule: bound=%d incumbent=%d threethree=%d constraint=%d ultrametric=%d budget=%d\n",
 			stats.Pruned.Bound, stats.Pruned.Incumbent, stats.Pruned.ThreeThree,
-			stats.Pruned.Constraint, stats.Pruned.Ultrametric, stats.Pruned.Dominance,
-			stats.Pruned.Budget)
+			stats.Pruned.Constraint, stats.Pruned.Ultrametric, stats.Pruned.Budget)
 	}
 	if ascii {
 		fmt.Fprint(w, t.Ascii())
@@ -318,12 +315,11 @@ func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
 // progress run ends with the search's whole story even without -trace.
 func printSearchSummary(w io.Writer, stats bb.Stats, sched pbb.SchedStats) {
 	fmt.Fprintf(w,
-		"search summary: nodes=%d generated=%d completed=%d solutions=%d steals=%d parks=%d donates=%d pruned[bound=%d incumbent=%d threethree=%d constraint=%d ultrametric=%d dominance=%d budget=%d]\n",
+		"search summary: nodes=%d generated=%d completed=%d solutions=%d steals=%d parks=%d donates=%d pruned[bound=%d incumbent=%d threethree=%d constraint=%d ultrametric=%d budget=%d]\n",
 		stats.Expanded, stats.Generated, stats.Completed, stats.Solutions,
 		sched.Steals, sched.Parks, sched.Donates,
 		stats.Pruned.Bound, stats.Pruned.Incumbent, stats.Pruned.ThreeThree,
-		stats.Pruned.Constraint, stats.Pruned.Ultrametric, stats.Pruned.Dominance,
-		stats.Pruned.Budget)
+		stats.Pruned.Constraint, stats.Pruned.Ultrametric, stats.Pruned.Budget)
 }
 
 // serveCoordinator runs the -dist-listen coordinator mode: it serves the

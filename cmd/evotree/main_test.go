@@ -157,6 +157,22 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 }
 
+// TestMaxNodesReportsIncompleteSearch: a search that -max-nodes cuts
+// short must say so on the summary line, on the decomposition pipeline as
+// on the plain branch-and-bound.
+func TestMaxNodesReportsIncompleteSearch(t *testing.T) {
+	var in strings.Builder
+	if err := matrix.Random0100(rand.New(rand.NewSource(3)), 12).Write(&in); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"compact", "bb"} {
+		out := runCLI(t, in.String(), "-algo", algo, "-max-nodes", "1", "-stats")
+		if !strings.Contains(out, "search complete=false") {
+			t.Errorf("%s: a search cut at one node reports itself complete:\n%s", algo, out)
+		}
+	}
+}
+
 func TestTraceFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-algo", "bb", "-trace"}, strings.NewReader(sample), &out, &errOut); err != nil {

@@ -12,16 +12,6 @@ type Constraints struct {
 	// the filter would eliminate every child the unfiltered set is used,
 	// so the search never dead-ends.
 	ThreeThreeAll bool
-	// Dominance enables the twin dominance/symmetry rules on insertion
-	// order: when the inserted species has a placed exact twin at its row
-	// minimum, only the position beside that twin is generated (every
-	// other position is dominated — delete s and re-insert it beside the
-	// twin, and no node rises); and among remaining positions, inserting
-	// above a leaf whose sibling is a smaller-indexed twin leaf is skipped
-	// (the two children are isomorphic under swapping the twins). Both
-	// rules preserve the optimal cost but not the full optimum set, so
-	// they disable themselves under CollectAll.
-	Dominance bool
 }
 
 // Expand generates the children of v in the BBT by inserting permuted
@@ -58,37 +48,12 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 	// only the nil-pool path pays for fresh slices.
 	md, r, stk := np.scratch(positions)
 	base := p.price(v, s, md, r, stk)
-	// Dominance rules lose alternate optima, so CollectAll (and the rare
-	// restricted third-species step, whose allowed-mask they would fight)
-	// turns them off.
-	dominance := c.Dominance && !collectAll && !restricted
-	if dominance && p.twinSib[s] >= 0 {
-		// Rule: s has a placed exact twin s' at its whole-row minimum. Any
-		// completion placing s elsewhere rewrites, cost-no-worse, into one
-		// with s beside s' — delete leaf s (its parent weighed at least
-		// ½·d(s,s'), the row minimum), re-insert it beside s' at exactly
-		// ½·d(s,s'), and no ancestor rises because s' already forced every
-		// height s needs. Only that one position is generated.
-		e := v.leafID[p.twinSib[s]]
-		pruned.Dominance += int64(positions - 1)
-		cost := base + spend(v, e, md, r)
-		if Prunes(cost+tail, ub, collectAll) {
-			pruned.Bound++
-		} else {
-			children = append(children, p.insert(v, s, e, cost, np, md))
-		}
-		return children, pruned
-	}
 	for pos := 0; pos < positions; pos++ {
 		if restricted && allowed[pos] == 0 {
 			pruned.ThreeThree++
 			continue
 		}
 		e := v.posNode(pos)
-		if dominance && p.twinShadowed(v, e) {
-			pruned.Dominance++
-			continue
-		}
 		cost := base + spend(v, e, md, r)
 		if Prunes(cost+tail, ub, collectAll) {
 			pruned.Bound++

@@ -9,7 +9,7 @@ import (
 
 // PruneStats attributes every discarded search node to the rule that
 // killed it — the measurement layer behind "which bound is earning its
-// keep". The seven rules partition all discards:
+// keep". Six rules partition all discards:
 //
 //   - Bound: children killed at generation time because their lower bound
 //     could not beat the upper bound current at that moment (Expand's
@@ -25,9 +25,6 @@ import (
 //   - Ultrametric: nodes killed at pop time because the incremental
 //     ultrametric propagation bound (PropagatedLB) crossed the incumbent
 //     where the plain tail bound did not (Options.Propagate).
-//   - Dominance: insertion positions discarded by the twin dominance and
-//     symmetry rules — equivalent-by-distance leaves force a canonical
-//     insertion order (Constraints.Dominance).
 //   - Budget: nodes abandoned unexplored when MaxNodes or a context
 //     cancellation truncated the search.
 //
@@ -42,8 +39,11 @@ type PruneStats struct {
 	ThreeThree  int64
 	Constraint  int64
 	Ultrametric int64
-	Dominance   int64
-	Budget      int64
+	// Dominance is always zero: no rule feeds it. It is kept only because
+	// perfbench's replay reads it (bb.pruned.dominance), and it takes no
+	// part in Add, Total or ByRule.
+	Dominance int64
+	Budget    int64
 }
 
 // Add accumulates other into p.
@@ -53,14 +53,13 @@ func (p *PruneStats) Add(other PruneStats) {
 	p.ThreeThree += other.ThreeThree
 	p.Constraint += other.Constraint
 	p.Ultrametric += other.Ultrametric
-	p.Dominance += other.Dominance
 	p.Budget += other.Budget
 }
 
 // Total is the number of nodes discarded by any rule.
 func (p PruneStats) Total() int64 {
 	return p.Bound + p.Incumbent + p.ThreeThree + p.Constraint +
-		p.Ultrametric + p.Dominance + p.Budget
+		p.Ultrametric + p.Budget
 }
 
 // ByRule returns the counter for an obs.Rule* name (0 for unknown names).
@@ -76,8 +75,6 @@ func (p PruneStats) ByRule(rule string) int64 {
 		return p.Constraint
 	case obs.RuleUltrametric:
 		return p.Ultrametric
-	case obs.RuleDominance:
-		return p.Dominance
 	case obs.RuleBudget:
 		return p.Budget
 	}

@@ -50,16 +50,6 @@ type Problem struct {
 	// species instead of next to the placed tree. The propagation bound's
 	// per-species increment is capped by it (see propagate.go).
 	followHalf []float64
-	// twinRep[s] = smallest exact twin of s (twinRep[s] == s when none):
-	// species whose distance rows agree outside the pair, as
-	// matrix.TwinClasses finds them, indexed in permuted space. Swapping
-	// two twins is a matrix automorphism — the handle the dominance rules
-	// canonicalize.
-	twinRep []int32
-	// twinSib[s] = smallest s' < s that is an exact twin of s with
-	// d(s,s') equal to s's whole-row minimum, -1 otherwise. When set, the
-	// position beside leaf s' dominates every other insertion of s.
-	twinSib []int32
 }
 
 // NewProblem builds a search instance from m. When useMaxMin is true the
@@ -118,40 +108,6 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 				if h := d[t*n+k-1] / 2; h < f {
 					f = h
 				}
-			}
-		}
-	}
-
-	// Twin classes (in permuted space) for the dominance rules. Being
-	// twins does not depend on labels, so the classes are found on m and
-	// each is named by its smallest permuted index: the representative
-	// TwinClasses would pick on the permuted matrix.
-	rep := m.TwinClasses()
-	first := make([]int32, n) // first[c]: smallest permuted index of class c
-	for c := range first {
-		first[c] = -1
-	}
-	p.twinRep = make([]int32, n)
-	p.twinSib = make([]int32, n)
-	for s, o := range perm {
-		c := rep[o]
-		if first[c] < 0 {
-			first[c] = int32(s)
-		}
-		p.twinRep[s] = first[c]
-		p.twinSib[s] = -1
-	}
-	for s := 1; s < n; s++ {
-		rowMin := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j != s && d[s*n+j] < rowMin {
-				rowMin = d[s*n+j]
-			}
-		}
-		for j := 0; j < s; j++ {
-			if p.twinRep[j] == p.twinRep[s] && d[s*n+j] == rowMin {
-				p.twinSib[s] = int32(j)
-				break
 			}
 		}
 	}

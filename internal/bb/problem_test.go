@@ -10,8 +10,7 @@ import (
 )
 
 // referenceTables builds NewProblem's tables the direct way: relabel m into
-// a permuted copy, read the distances out of it, and find the twin classes
-// on the copy.
+// a permuted copy and read the distances out of it.
 func referenceTables(m *matrix.Matrix, useMaxMin bool) *Problem {
 	n := m.Len()
 	perm := make([]int, n)
@@ -49,33 +48,13 @@ func referenceTables(m *matrix.Matrix, useMaxMin bool) *Problem {
 			}
 		}
 	}
-	rep := pm.TwinClasses()
-	p.twinRep = make([]int32, n)
-	p.twinSib = make([]int32, n)
-	for s := 0; s < n; s++ {
-		p.twinRep[s] = int32(rep[s])
-		p.twinSib[s] = -1
-		rowMin := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j != s {
-				rowMin = math.Min(rowMin, pm.At(s, j))
-			}
-		}
-		for j := 0; j < s; j++ {
-			if rep[j] == rep[s] && pm.At(s, j) == rowMin {
-				p.twinSib[s] = int32(j)
-				break
-			}
-		}
-	}
 	return p
 }
 
 // TestNewProblemMatchesRelabel pins NewProblem, which reads m through the
-// permutation and names twin classes by their smallest permuted index,
-// to the tables of the relabeled copy: d, perm, tail, followHalf, twinRep
-// and twinSib, on random, heavily tied and planted-twin matrices, with
-// and without the max–min relabeling.
+// permutation, to the tables of the relabeled copy: d, perm, tail and
+// followHalf, on random, heavily tied and planted-twin matrices, with and
+// without the max–min relabeling.
 func TestNewProblemMatchesRelabel(t *testing.T) {
 	families := []struct {
 		name string
@@ -111,8 +90,6 @@ func TestNewProblemMatchesRelabel(t *testing.T) {
 					{"perm", got.perm, want.perm},
 					{"tail", got.tail, want.tail},
 					{"followHalf", got.followHalf, want.followHalf},
-					{"twinRep", got.twinRep, want.twinRep},
-					{"twinSib", got.twinSib, want.twinSib},
 					{"names", got.names, want.names},
 				} {
 					if !reflect.DeepEqual(c.got, c.want) {

@@ -119,26 +119,3 @@ func (p *Problem) propagatedPrunes(v *PNode, ub float64, collectAll bool, np *No
 	}
 	return false
 }
-
-// twinShadowed reports whether the insertion position above node e is
-// discarded by the twin symmetry rule: e is a leaf whose sibling is a
-// smaller-indexed exact twin leaf. The two positions then generate
-// subtrees that are isomorphic under swapping the twins (a matrix
-// automorphism), and the completion set of the kept position covers the
-// pruned one cost-for-cost — safe whenever a single optimum suffices.
-func (p *Problem) twinShadowed(v *PNode, e int32) bool {
-	s := v.species[e]
-	if s < 0 {
-		return false
-	}
-	par := v.parent[e]
-	if par == -1 {
-		return false
-	}
-	other := v.left[par]
-	if other == e {
-		other = v.right[par]
-	}
-	os := v.species[other]
-	return os >= 0 && os < s && p.twinRep[os] == p.twinRep[s]
-}

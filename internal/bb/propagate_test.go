@@ -223,8 +223,8 @@ func TestPropagatedLBZeroAlloc(t *testing.T) {
 
 // twinMatrix builds an ultrametric-ish matrix with planted exact twins:
 // base species at mutual distance drawn from an ultrametric, plus dup
-// copies of species 0 at tiny mutual distance — the automorphism-rich
-// adversary for the dominance rules.
+// copies of species 0 at tiny mutual distance — an automorphism-rich,
+// heavily tied instance.
 func twinMatrix(rng *rand.Rand, base, dups int) *matrix.Matrix {
 	um := matrix.RandomUltrametric(rng, base, 100)
 	n := base + dups
@@ -249,111 +249,10 @@ func twinMatrix(rng *rand.Rand, base, dups int) *matrix.Matrix {
 	return m
 }
 
-// TestDominanceRulesPreserveOptimum solves twin-rich and uniform matrices
-// with the dominance rules on and off: costs must match exactly, the
-// Dominance bucket must fire on the twin-rich family, and the accounting
-// identity must close in both configurations.
-func TestDominanceRulesPreserveOptimum(t *testing.T) {
-	check := func(t *testing.T, m *matrix.Matrix, wantFired bool) {
-		t.Helper()
-		// Suppress the UPGMM seed: on these symmetric instances it is often
-		// already optimal, and a tight incumbent ends the search at the root
-		// before any insertion rule can fire.
-		off := DefaultOptions()
-		off.NoInitialUB = true
-		on := off
-		on.Dominance = true
-		roff, err := Solve(m, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ron, err := Solve(m, on)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if roff.Cost != ron.Cost {
-			t.Fatalf("dominance changed the optimum: %g (off) vs %g (on)", roff.Cost, ron.Cost)
-		}
-		if wantFired && ron.Stats.Pruned.Dominance == 0 {
-			t.Fatal("twin-rich instance fired no dominance prunes")
-		}
-		for _, s := range []Stats{roff.Stats, ron.Stats} {
-			if got, want := s.Generated+s.Roots, s.Expanded+s.Pruned.Total()+s.Completed; got != want {
-				t.Fatalf("accounting identity broken: generated+roots %d != consumed %d (%+v)", got, want, s.Pruned)
-			}
-		}
-	}
-	t.Run("planted-twins", func(t *testing.T) {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			check(t, twinMatrix(rng, 6, 3), true)
-		}
-	})
-	t.Run("all-equal", func(t *testing.T) {
-		m := matrix.New(8)
-		for i := 0; i < 8; i++ {
-			for j := i + 1; j < 8; j++ {
-				m.Set(i, j, 10)
-			}
-		}
-		// Every species is everyone's twin: the rules collapse the factorial
-		// insertion symmetry to a single canonical order.
-		check(t, m, true)
-	})
-	t.Run("uniform-no-twins", func(t *testing.T) {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			check(t, matrix.Random0100(rng, 9), false)
-		}
-	})
-}
-
-// TestDominanceShrinksTwinSearch quantifies the symmetry win: on a
-// twin-rich instance whose base distances are uniform noise (loose bounds,
-// so the plain search genuinely explores) the dominance rules must expand
-// strictly fewer nodes. The twin distance is moderate on purpose: tiny
-// twin distances make every off-twin placement so expensive the plain
-// bound already kills it, and the symmetry rule would have nothing left
-// to save.
-func TestDominanceShrinksTwinSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	base := matrix.Random0100(rng, 8)
-	n := 11
-	m := matrix.New(n)
-	for i := 0; i < 8; i++ {
-		for j := i + 1; j < 8; j++ {
-			m.Set(i, j, base.At(i, j))
-		}
-	}
-	for k := 8; k < n; k++ {
-		for j := 1; j < 8; j++ {
-			m.Set(k, j, base.At(0, j))
-		}
-		m.Set(k, 0, 20)
-		for l := 8; l < k; l++ {
-			m.Set(k, l, 20)
-		}
-	}
-	off := DefaultOptions()
-	on := off
-	on.Dominance = true
-	roff, err := Solve(m, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ron, err := Solve(m, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ron.Stats.Expanded >= roff.Stats.Expanded {
-		t.Fatalf("dominance did not shrink the search: %d expanded with rules vs %d without",
-			ron.Stats.Expanded, roff.Stats.Expanded)
-	}
-}
-
-// TestCollectAllDisablesDominance pins the documented CollectAll contract:
-// the rules lose alternate optima, so a collect-all solve must keep them
-// off and find the full optimum set even with Dominance requested.
+// TestCollectAllDisablesDominance pins CollectAll under the strong rule
+// set: the propagation bound keeps LB == UB nodes alive like the plain
+// bound, so a collect-all solve under StrongOptions finds the full optimum
+// set, and the Dominance bucket, which no rule feeds, stays zero.
 func TestCollectAllDisablesDominance(t *testing.T) {
 	m := matrix.New(6)
 	for i := 0; i < 6; i++ {
@@ -367,14 +266,14 @@ func TestCollectAllDisablesDominance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ruled := plain
-	ruled.Dominance = true
+	ruled := StrongOptions()
+	ruled.CollectAll = true
 	got, err := Solve(m, ruled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Trees) != len(ref.Trees) {
-		t.Fatalf("CollectAll with Dominance found %d optima, want %d", len(got.Trees), len(ref.Trees))
+		t.Fatalf("CollectAll under StrongOptions found %d optima, want %d", len(got.Trees), len(ref.Trees))
 	}
 	if got.Stats.Pruned.Dominance != 0 {
 		t.Fatalf("CollectAll solve recorded %d dominance prunes, want 0", got.Stats.Pruned.Dominance)

@@ -69,12 +69,10 @@ func PaperOptions() Options {
 }
 
 // StrongOptions enable every exactness-preserving reduction: the defaults
-// plus the ultrametric propagation bound and the twin dominance rules. This
-// is the configuration the frontier benchmarks (n = 20..38) run under.
+// plus the ultrametric propagation bound.
 func StrongOptions() Options {
 	opt := DefaultOptions()
 	opt.Propagate = true
-	opt.Dominance = true
 	return opt
 }
 
@@ -96,7 +94,6 @@ func (opt Options) ruleSet() string {
 	add("threethree", opt.ThreeThree)
 	add("threethreeall", opt.ThreeThreeAll)
 	add("propagate", opt.Propagate)
-	add("dominance", opt.Dominance)
 	add("collectall", opt.CollectAll)
 	if s == "" {
 		s = "none"

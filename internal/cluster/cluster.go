@@ -39,8 +39,6 @@ type Config struct {
 	// PerByte is the transfer cost per subproblem species (models message
 	// size growing with the partial topology).
 	PerByte float64
-	// InitialFanout × Nodes is the master's pre-dispatch frontier size.
-	InitialFanout int
 	// DisableGlobalPool turns off the two-level load balancer: nodes never
 	// donate to or pull from the global pool after the initial dispatch.
 	// Used by the ablation experiments to measure what the paper's
@@ -58,16 +56,19 @@ type Config struct {
 	BB bb.Options
 }
 
+// initialFanout × Nodes is the master's pre-dispatch frontier size: the
+// papers' "2 times of total nodes in the computing environment".
+const initialFanout = 2
+
 // ClusterConfig models the papers' Fast-Ethernet PC cluster: messages are
 // cheap relative to branching.
 func ClusterConfig(nodes int) Config {
 	return Config{
-		Nodes:         nodes,
-		TBranch:       1.0,
-		Latency:       0.2,
-		PerByte:       0.01,
-		InitialFanout: 2,
-		BB:            bb.DefaultOptions(),
+		Nodes:   nodes,
+		TBranch: 1.0,
+		Latency: 0.2,
+		PerByte: 0.01,
+		BB:      bb.DefaultOptions(),
 	}
 }
 
@@ -153,9 +154,6 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
 	}
-	if cfg.InitialFanout < 1 {
-		cfg.InitialFanout = 2
-	}
 	if cfg.TBranch <= 0 {
 		cfg.TBranch = 1
 	}
@@ -174,7 +172,7 @@ func SimulateProblem(p *bb.Problem, cfg Config) *Result {
 	t, cost := p.InitialUpperBound()
 	inc.Seed(t, cost, cfg.BB, time.Time{})
 	best := inc.Bound()
-	frontier, ok := st.Split(p.Root(), cfg.InitialFanout*cfg.Nodes, best, func(v *bb.PNode) float64 {
+	frontier, ok := st.Split(p.Root(), initialFanout*cfg.Nodes, best, func(v *bb.PNode) float64 {
 		best = math.Min(best, v.Cost)
 		return best
 	})

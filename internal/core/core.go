@@ -154,7 +154,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	// worker, so detection, reductions and searches never run on more than
 	// opt.Workers goroutines together.
 	sem := newWorkerSem(opt.Workers)
-	detectUnit := sem.acquireUpTo(1)
+	sem.acquire() // detection's unit
 	// solve reduces internal node h and solves its small matrix; id tags
 	// the node's telemetry events.
 	solve := func(id int, h *compact.Hierarchy) solved {
@@ -227,9 +227,9 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			// Between runs of ready nodes the unit goes back, so a big
 			// node can take it.
 			for q.wait() {
-				unit := sem.acquireUpTo(1)
+				sem.acquire()
 				work()
-				sem.release(unit)
+				sem.release(1)
 			}
 		}()
 	}
@@ -244,7 +244,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		// on the root, the largest node, at once.
 		work()
 	}
-	sem.release(detectUnit)
+	sem.release(1)
 	wg.Wait()
 	if err != nil {
 		return nil, err

@@ -4,35 +4,35 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"evotree/internal/obs"
 )
 
-func TestWorkerSemPartialGrantsAndFIFO(t *testing.T) {
-	s := newWorkerSem(4)
-	if got := s.acquireUpTo(3); got != 3 {
-		t.Fatalf("first acquire got %d, want 3", got)
-	}
-	// Only one unit left: a request for four must still proceed with one.
-	if got := s.acquireUpTo(4); got != 1 {
-		t.Fatalf("partial acquire got %d, want 1", got)
-	}
-	// Nothing left: the next acquire must block until a release.
-	done := make(chan int)
-	go func() { done <- s.acquireUpTo(2) }()
+// TestWorkerSemHandsOffSingleUnits: with every unit held, acquire waits
+// until a release hands one over, and the unit it takes is then held.
+func TestWorkerSemHandsOffSingleUnits(t *testing.T) {
+	s := newWorkerSem(2)
+	s.acquire()
+	s.acquire()
+	done := make(chan struct{})
+	go func() {
+		s.acquire()
+		close(done)
+	}()
 	select {
-	case g := <-done:
-		t.Fatalf("acquire on empty semaphore returned %d early", g)
-	default:
+	case <-done:
+		t.Fatal("acquire on a fully held semaphore returned before a release")
+	case <-time.After(20 * time.Millisecond):
 	}
-	s.release(3)
-	if got := <-done; got != 2 {
-		t.Fatalf("queued acquire got %d, want 2", got)
+	s.release(1)
+	<-done
+	if got := s.take(1); got != 0 {
+		t.Fatalf("take after the hand-off got %d, want 0: the waiter holds the released unit", got)
 	}
 	s.release(2)
-	s.release(1)
-	if got := s.acquireUpTo(4); got != 4 {
-		t.Fatalf("after full release got %d, want 4", got)
+	if got := s.take(3); got != 2 {
+		t.Fatalf("take after releasing every unit got %d, want 2", got)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestWorkerSemPartialGrantsAndFIFO(t *testing.T) {
 // without blocking, when every unit is held.
 func TestWorkerSemTakeNeverWaits(t *testing.T) {
 	s := newWorkerSem(3)
-	s.acquireUpTo(1)
+	s.acquire()
 	if got := s.take(5); got != 2 {
 		t.Fatalf("take got %d of 2 free units", got)
 	}
@@ -64,7 +64,8 @@ func TestWorkerSemNeverOversubscribes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g := s.acquireUpTo(1 + i%units)
+			s.acquire()
+			g := 1 + s.take(i%units)
 			mu.Lock()
 			inUse += g
 			if inUse > peak {

@@ -18,20 +18,15 @@ import (
 	"evotree/internal/compact"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
-	"evotree/internal/pbb"
 	"evotree/internal/tree"
 )
 
 // Options configure a coordinator (and, through Solve, its loopback
 // farm).
 type Options struct {
-	// Workers sizes the loopback farm Solve launches and, with Fanout,
+	// Workers sizes the loopback farm Solve launches and, with fanout,
 	// the frontier target the coordinator slices per matrix. At least 1.
 	Workers int
-	// Fanout is how many units per worker the coordinator slices off
-	// each matrix's branch-and-bound pool before serving — the paper's
-	// "2 times of total nodes in the computing environment". Default 2.
-	Fanout int
 	// Decompose runs the compact-set decomposition and farms out one
 	// search per internal hierarchy node (the paper's condition 1);
 	// false farms frontier batches of the whole-matrix search (exact).
@@ -57,9 +52,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.Fanout < 1 {
-		o.Fanout = 2
-	}
 	if o.Reduction == 0 {
 		o.Reduction = compact.Maximum
 	}
@@ -71,6 +63,11 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// fanout is how many units per worker the coordinator slices off each
+// matrix's branch-and-bound pool before serving — the paper's "2 times of
+// total nodes in the computing environment".
+const fanout = 2
 
 // WorkerFarmStats are one worker's dispatch counters as seen by the
 // coordinator.
@@ -101,7 +98,6 @@ type Result struct {
 	Optimal bool    // false when the budget or context truncated the farm
 	OpenLB  float64 // proof floor of a truncated search; +Inf when complete
 	Stats   bb.Stats
-	Sched   pbb.SchedStats // dispatch/requeue view of the farm scheduling
 	Farm    FarmStats
 	// CompactSets are the detected sets in Decompose mode, nil otherwise.
 	CompactSets []compact.Set
@@ -175,7 +171,7 @@ type Coordinator struct {
 
 // NewCoordinator decomposes m into work units according to opt and
 // returns a coordinator ready to serve workers. The master slicing runs
-// synchronously here (bounded: Fanout×Workers nodes per matrix).
+// synchronously here (bounded: fanout×Workers nodes per matrix).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 	if opt.BB.CollectAll || opt.BB.NoInitialUB {
 		return nil, errors.New("dist: the farm does not support CollectAll or NoInitialUB")
@@ -254,10 +250,7 @@ func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
 // in-process parallel engine's master phase, budget and cancellation
 // included), then makes one unit per open frontier node.
 func (c *Coordinator) slice(cm *coordMatrix) {
-	target := c.opt.Fanout * c.opt.Workers
-	if target < 2 {
-		target = 2
-	}
+	target := fanout * c.opt.Workers
 	st := &bb.Step{P: cm.p, Opt: c.opt.BB, Pool: cm.np, Budget: c.budget, Stats: &c.masterStats}
 	c.masterStats.Roots++
 	frontier, ok := st.Split(cm.p.Root(), target, cm.inc.Bound(), func(v *bb.PNode) float64 {
@@ -665,7 +658,6 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 	}
 	res.Stats = c.masterStats
 	res.Stats.Add(c.foldedStats)
-	res.Sched = pbb.SchedStats{Dispatches: c.dispatches, Requeues: c.requeues}
 	// Solutions and UBUpdates sum over the matrices, as the in-process
 	// pipeline sums them over its subproblems.
 	final := make([]bb.Result, len(c.mats))

@@ -60,9 +60,6 @@ func TestSolveMatchesSequential(t *testing.T) {
 			if res.Farm.Done != res.Farm.Units {
 				t.Errorf("n=%d workers=%d: %d of %d units done", n, workers, res.Farm.Done, res.Farm.Units)
 			}
-			if res.Sched.Dispatches != res.Farm.Dispatches {
-				t.Errorf("SchedStats.Dispatches=%d, FarmStats.Dispatches=%d", res.Sched.Dispatches, res.Farm.Dispatches)
-			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"grid-median", "grid-mean", "grid-worst", "grid24",
 		"ablation-maxmin", "ablation-ub", "ablation-pool",
 		"ablation-reduction", "ablation-33",
-		"accuracy", "scale", "ablation-search", "frontier",
+		"accuracy", "scale", "ablation-search",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

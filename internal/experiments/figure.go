@@ -124,10 +124,6 @@ type Config struct {
 	Seed    int64
 	Workers int  // parallel workers for real (goroutine) runs
 	Quick   bool // shrink sweeps for tests and -short benchmarks
-	// BenchOut, when non-empty, makes the frontier experiment write its
-	// machine-readable report to this path. Empty means no file is
-	// written, which keeps test runs side-effect free.
-	BenchOut string
 }
 
 // Runner regenerates one figure.

@@ -202,25 +202,6 @@ func (m *Matrix) twinReps(class []int) []int {
 	return rep
 }
 
-// TwinClasses returns rep[i] = the smallest species index that is an
-// exact twin of i (rep[i] == i when i has no smaller twin). Two species
-// are exact twins when their distances to every third species coincide —
-// swapping them is an automorphism of the matrix, so any search may fix a
-// canonical order inside a twin class without losing the optimum. It is
-// the canonical fingerprint's twin collapse run over a single class: the
-// WL refinement never separates exact twins (their row multisets agree,
-// and each round keeps them together because swapping them is an
-// automorphism), so refining first would change nothing. The relation is
-// transitive (twins of twins are twins), so rep is a well-defined class
-// representative.
-func (m *Matrix) TwinClasses() []int {
-	n := m.Len()
-	if n == 0 {
-		return nil
-	}
-	return m.twinReps(make([]int, n))
-}
-
 // canonSearch finds, by depth-first branch and bound, the ordering of
 // species (grouped by ascending class) that minimizes the flattened
 // distance sequence seq(o) = d(o0,o1), d(o0,o2), d(o1,o2), d(o0,o3), ...

@@ -231,102 +231,3 @@ func BenchmarkFingerprint(b *testing.B) {
 		})
 	}
 }
-
-// TestTwinClasses pins the exported twin-class semantics the search's
-// dominance rules build on: rep[i] is the smallest exact twin of i (same
-// distances to every third species), the relation is reflexive-transitive
-// on planted twins, and near-twins (one perturbed entry) do NOT collapse.
-func TestTwinClasses(t *testing.T) {
-	// Planted twins: 0≡3 and 1≡4; 2 is alone.
-	m := New(5)
-	d := [5][5]float64{
-		{0, 8, 6, 2, 8},
-		{8, 0, 7, 8, 3},
-		{6, 7, 0, 6, 7},
-		{2, 8, 6, 0, 8},
-		{8, 3, 7, 8, 0},
-	}
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			m.Set(i, j, d[i][j])
-		}
-	}
-	want := []int{0, 1, 2, 0, 1}
-	got := m.TwinClasses()
-	for i, w := range want {
-		if got[i] != w {
-			t.Fatalf("TwinClasses = %v, want %v", got, want)
-		}
-	}
-
-	// Breaking one off-pair entry must split the twin pair.
-	m.Set(3, 1, 9)
-	got = m.TwinClasses()
-	if got[3] == 0 {
-		t.Fatalf("perturbed near-twins still collapsed: %v", got)
-	}
-
-	// All-equal: a single class with representative 0.
-	eq := New(4)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			eq.Set(i, j, 5)
-		}
-	}
-	for i, r := range eq.TwinClasses() {
-		if r != 0 {
-			t.Fatalf("all-equal species %d got rep %d, want 0", i, r)
-		}
-	}
-
-	// Empty matrix: nil, no panic.
-	if c := New(0).TwinClasses(); c != nil {
-		t.Fatalf("TwinClasses on empty matrix = %v, want nil", c)
-	}
-}
-
-// TestTwinClassesMatchRefinement pins TwinClasses, which collapses twins
-// over a single class, to the twin collapse over the WL refinement
-// classes, on random, heavy-tie, exactly ultrametric and planted-twin
-// matrices.
-func TestTwinClassesMatchRefinement(t *testing.T) {
-	gens := map[string]func(rng *rand.Rand, n int) *Matrix{
-		"random":    Random0100,
-		"heavy-tie": func(rng *rand.Rand, n int) *Matrix { return RandomMetric(rng, n, 1, 3) },
-		"ultrametric": func(rng *rand.Rand, n int) *Matrix {
-			return RandomUltrametric(rng, n, 100)
-		},
-		"planted-twins": func(rng *rand.Rand, n int) *Matrix {
-			m := RandomMetric(rng, n, 4, 8)
-			// Copy row 0 onto a few later species: exact twins of 0 (and
-			// of each other) at distance 1.
-			for c := n - 3; c < n; c++ {
-				for j := 1; j < n-3; j++ {
-					m.Set(c, j, m.At(0, j))
-				}
-				for l := 0; l < c; l++ {
-					if l == 0 || l >= n-3 {
-						m.Set(c, l, 1)
-					}
-				}
-			}
-			return m
-		},
-	}
-	for kind, gen := range gens {
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 40; trial++ {
-			n := 4 + rng.Intn(30)
-			m := gen(rng, n)
-			got, want := m.TwinClasses(), m.twinReps(m.wlClasses())
-			if kind == "planted-twins" && want[n-1] != 0 {
-				t.Fatalf("n=%d trial %d: planted twin %d not collapsed onto 0: %v", n, trial, n-1, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s n=%d trial %d: TwinClasses = %v, refined twin collapse = %v", kind, n, trial, got, want)
-				}
-			}
-		}
-	}
-}

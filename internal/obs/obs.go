@@ -118,7 +118,7 @@ const (
 	// SearchConfig reports the optional search rules a solve runs under,
 	// emitted once right after ProblemStart by every engine root. Phase
 	// carries the comma-joined enabled-rule list (e.g.
-	// "maxmin,propagate,dominance", or "none"), N the species count.
+	// "maxmin,propagate", or "none"), N the species count.
 	// Ablation tooling keys recorded runs on it, so a telemetry stream is
 	// self-describing about which reductions shaped its prune counters.
 	SearchConfig
@@ -143,10 +143,6 @@ const (
 	// ultrametric propagation bound — the three-point-condition floor over
 	// the partial tree beat the plain tail bound and crossed the incumbent.
 	RuleUltrametric = "ultrametric"
-	// RuleDominance: insertion positions discarded by the twin dominance
-	// and symmetry rules (equivalent-by-distance leaves force a canonical
-	// insertion order).
-	RuleDominance = "dominance"
 	// RuleBudget: nodes abandoned unexplored when MaxNodes or a context
 	// cancellation truncated the search.
 	RuleBudget = "budget"
@@ -154,7 +150,7 @@ const (
 
 // Rules lists every prune-rule name in stable display order.
 var Rules = []string{RuleBound, RuleIncumbent, RuleThreeThree, RuleConstraint,
-	RuleUltrametric, RuleDominance, RuleBudget}
+	RuleUltrametric, RuleBudget}
 
 // MasterWorker is the Worker id used by the sequential engine and by the
 // parallel engine's master phase; real workers are numbered from 0.

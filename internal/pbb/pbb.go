@@ -215,10 +215,9 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	}
 	res.PoolGets, res.PoolPuts = sched.ring.gets.Load(), sched.ring.puts.Load()
 	res.Sched = SchedStats{
-		Steals:     sched.steals.Load(),
-		Parks:      sched.parks.Load(),
-		Donates:    sched.donates.Load(),
-		Dispatches: int64(res.MasterNodes),
+		Steals:  sched.steals.Load(),
+		Parks:   sched.parks.Load(),
+		Donates: sched.donates.Load(),
 	}
 	inc.Result(&res.Result)
 	if probe != nil {

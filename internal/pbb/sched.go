@@ -22,15 +22,6 @@ type SchedStats struct {
 	Steals  int64 // subproblems stolen from another worker's deque
 	Parks   int64 // times a worker parked after an empty spin-and-steal round
 	Donates int64 // overflow donations spilled into the global ring
-	// Dispatches counts work units handed out by the coordinating side:
-	// the master's initial frontier dispatch here, lease grants in the
-	// distributed farm (internal/dist reports through the same struct).
-	Dispatches int64
-	// Requeues counts expired leases returned to the queue. Always zero
-	// for the in-process scheduler, whose workers cannot crash separately
-	// from the search; the distributed farm counts every lease deadline
-	// that lapsed.
-	Requeues int64
 }
 
 // Add accumulates other into s.
@@ -38,8 +29,6 @@ func (s *SchedStats) Add(other SchedStats) {
 	s.Steals += other.Steals
 	s.Parks += other.Parks
 	s.Donates += other.Donates
-	s.Dispatches += other.Dispatches
-	s.Requeues += other.Requeues
 }
 
 // scheduler is the lock-free replacement for the seed engine's

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRuleAblationIdenticalCosts toggles the propagation bound and the
-// dominance rules on and off across the oracle band and asserts every
-// configuration lands on the identical optimal cost — the
-// exactness-preservation contract of both rules, checked differentially
-// against the rules-off sequential engine (itself oracle-validated by the
+// TestRuleAblationIdenticalCosts toggles the propagation bound on and
+// off across the oracle band, sequentially and in parallel, and asserts
+// every configuration lands on the identical optimal cost — the bound's
+// exactness-preservation contract, checked differentially against the
+// rules-off sequential engine (itself oracle-validated by the
 // differential suite).
 func TestRuleAblationIdenticalCosts(t *testing.T) {
 	base, err := engineByName("bb")
@@ -17,7 +17,7 @@ func TestRuleAblationIdenticalCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ablations []Engine
-	for _, name := range []string{"bbprop", "bbdom", "bbrules", "pbbs4"} {
+	for _, name := range []string{"bbprop", "pbbs4"} {
 		e, err := engineByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ func TestCheckAccountingDetectsViolations(t *testing.T) {
 		Roots:     1,
 		Completed: 2,
 		Pruned: bb.PruneStats{Bound: 3, Incumbent: 1, ThreeThree: 1,
-			Ultrametric: 1, Dominance: 2},
+			Ultrametric: 3},
 	}
 	if fails := CheckAccounting(good); len(fails) != 0 {
 		t.Fatalf("consistent stats flagged: %v", fails)
@@ -29,10 +29,10 @@ func TestCheckAccountingDetectsViolations(t *testing.T) {
 	}
 
 	negativeBucket := good
-	negativeBucket.Pruned.Dominance = -2
-	negativeBucket.Generated -= 4 // keep the sum identity closed
+	negativeBucket.Pruned.Ultrametric = -3
+	negativeBucket.Generated -= 6 // keep the sum identity closed
 	if fails := CheckAccounting(negativeBucket); len(fails) != 1 || fails[0].Property != "prune-negative" {
-		t.Fatalf("negative dominance bucket not flagged: %v", fails)
+		t.Fatalf("negative ultrametric bucket not flagged: %v", fails)
 	}
 }
 

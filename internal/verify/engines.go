@@ -38,7 +38,7 @@ type Engine struct {
 // configuration.
 func engineByName(name string) (Engine, error) {
 	// bestfirsts, wholes and compacts are bestfirst, whole and compact
-	// under the strong rule set, like bbrules and pbbs<N>.
+	// under the strong rule set, like bbprop and pbbs<N>.
 	base := bb.DefaultOptions
 	switch name {
 	case "bestfirsts", "wholes", "compacts":
@@ -51,17 +51,15 @@ func engineByName(name string) (Engine, error) {
 		return o
 	}
 	switch name {
-	case "bb", "bb33", "bbprop", "bbdom", "bbrules":
-		// bbprop/bbdom/bbrules are the rule-ablation engines: the sequential
-		// DFS with the propagation bound, the dominance rules, or both
-		// enabled. All exactness-preserving, so the differential harness
-		// proves each toggle leaves the optimal cost untouched on every
-		// instance of the oracle band.
+	case "bb", "bb33", "bbprop":
+		// bbprop is the rule-ablation engine: the sequential DFS with the
+		// propagation bound. The bound is exactness-preserving, so the
+		// differential harness proves it leaves the optimal cost untouched
+		// on every instance of the oracle band.
 		tt := name == "bb33"
 		return Engine{Name: name, Exact: !tt, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
 			opt := bbOpt(maxNodes, tt)
-			opt.Propagate = name == "bbprop" || name == "bbrules"
-			opt.Dominance = name == "bbdom" || name == "bbrules"
+			opt.Propagate = name == "bbprop"
 			opt.Probe = probe
 			res, err := bb.Solve(m, opt)
 			if err != nil {
@@ -126,9 +124,9 @@ func engineByName(name string) (Engine, error) {
 	if w, ok := parseWorkers(name, "distcs"); ok {
 		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true, bb.StrongOptions())}, nil
 	}
-	// pbbs<N> is the parallel engine with the strong rule set (propagation
-	// bound + dominance), so the differential harness proves the rules
-	// compose with work stealing and shared-bound broadcast.
+	// pbbs<N> is the parallel engine with the strong rule set (the
+	// propagation bound), so the differential harness proves the bound
+	// composes with work stealing and shared-bound broadcast.
 	if w, ok := parseWorkers(name, "pbbs"); ok {
 		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
 			opt := pbb.Options{Options: bb.StrongOptions(), Workers: w, InitialFanout: 2}
@@ -202,17 +200,17 @@ func PBBEngineName(workers int) string {
 // decomposition + strong rules) with N ≥ 1 is additionally accepted by
 // ParseEngines for concurrency sweeps.
 func EngineNames() []string {
-	names := []string{"bb", "bb33", "bbprop", "bbdom", "bbrules", "bestfirst", "bestfirsts",
+	names := []string{"bb", "bb33", "bbprop", "bestfirst", "bestfirsts",
 		"pbb1", "pbb4", "pbb8", "pbbs4", "whole", "wholes", "compact", "compact33", "compacts"}
 	sort.Strings(names)
 	return names
 }
 
 // DefaultEngineSpec is the engine list the harness and CI run: every
-// engine, exact and heuristic, including the rule-ablation engines that
-// pin the propagation/dominance rules to the unruled optimum and each
-// in-process engine under the strong rule set.
-const DefaultEngineSpec = "bb,bb33,bbprop,bbdom,bbrules,bestfirst,bestfirsts,pbb1,pbb4,pbb8,pbbs4,whole,wholes,compact,compact33,compacts"
+// engine, exact and heuristic, including the rule-ablation engine that
+// pins the propagation bound to the unruled optimum and each in-process
+// engine under the strong rule set.
+const DefaultEngineSpec = "bb,bb33,bbprop,bestfirst,bestfirsts,pbb1,pbb4,pbb8,pbbs4,whole,wholes,compact,compact33,compacts"
 
 // ParseEngines resolves a comma-separated engine list ("" means the
 // default set).

@@ -120,8 +120,8 @@ func CheckAccounting(s bb.Stats) []Failure {
 			"generated+roots = %d+%d = %d, but expanded+pruned+completed = %d+%d+%d = %d (per-rule: %+v)",
 			s.Generated, s.Roots, got, s.Expanded, s.Pruned.Total(), s.Completed, want, s.Pruned)})
 	}
-	// Every attribution bucket (including the propagation/dominance rules)
-	// must be a plain count: a negative value means a double-put or a
+	// Every attribution bucket (including the propagation bound's) must
+	// be a plain count: a negative value means a double-put or a
 	// mis-signed accumulation somewhere in an engine's prune sites.
 	for _, rule := range obs.Rules {
 		if c := s.Pruned.ByRule(rule); c < 0 {
