@@ -5,14 +5,17 @@
 // merged without losing the relations among species.
 //
 // A set C ⊆ V is compact when the largest distance inside C is smaller
-// than every distance leaving C (Lemma 2). Compact sets are found by
-// Kruskal's algorithm: process minimum-spanning-tree edges in ascending
-// order, merge the endpoint components, and test each merged component
-// against the compactness predicate (the paper's Algorithm "Compact
-// Sets"). Any two compact sets are nested or disjoint (Lemma 3), so the
-// family forms a laminar hierarchy; Lemma 1 guarantees each compact set
-// appears as a clade of any relation-faithful tree, which is why the
-// decomposition preserves the phylogeny.
+// than every distance leaving C (Lemma 2). The paper finds compact sets
+// with Kruskal's algorithm: process minimum-spanning-tree edges in
+// ascending order, merge the endpoint components, and test each merged
+// component against the compactness predicate (its Algorithm "Compact
+// Sets"). Those components are runs of the order in which Prim's
+// algorithm joins the vertices, so Detect walks that order instead and
+// reports the same sets in the same order. Any two compact sets are
+// nested or disjoint (Lemma 3), so the family forms a laminar hierarchy;
+// Lemma 1 guarantees each compact set appears as a clade of any
+// relation-faithful tree, which is why the decomposition preserves the
+// phylogeny.
 package compact
 
 import (
@@ -21,6 +24,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"evotree/internal/graph"
 	"evotree/internal/matrix"
@@ -46,108 +51,257 @@ func BuildHierarchy(m *matrix.Matrix) (*Hierarchy, []Set, error) {
 }
 
 // Detect finds the compact sets of m and builds their hierarchy in one
-// walk, and hands each internal node to ready, when ready is non-nil, the
-// moment the node is final: every node after its children, and the root
-// last. It returns the root and the sets in Kruskal discovery order; a
-// compact node's Members is its set's slice, so neither may be changed.
-//
-// Each MST edge but the last forms one candidate component A. A is tested
-// when it is next merged: by the cut property the lightest edge leaving A
-// is the MST edge that next merges it, so that edge's weight is
-// Min(A, V∖A). Max(A) grows by the cross pairs of each merge, which visits
-// every pair once. No test weighs more than the heaviest MST edge, so once
-// Max(A) reaches it neither A nor any component holding A can be compact:
-// the cross scan stops there, and later merges of A scan nothing. Every
-// compact set inside A is confirmed by A's test, since its own next merge
-// lies inside A, so each component carries the list of its maximal
-// confirmed parts, compact nodes and singleton leaves; a merge
-// concatenates the two lists, and a confirmation wraps its list into A's
-// node. Detect takes O(n²) time and O(n) extra memory besides its output.
+// walk over the order in which Prim's algorithm joins the vertices, run
+// after Prim, and hands each internal node to ready, when ready is
+// non-nil, the moment the node is final: every node after its children,
+// and the root last. It returns the root and the sets in Kruskal
+// discovery order; a compact node's Members is its set's slice, so
+// neither may be changed. It is a Stream run with nobody advancing it
+// while Prim runs.
 func Detect(m *matrix.Matrix, ready func(*Hierarchy)) (*Hierarchy, []Set, error) {
+	return NewStream(m, ready, nil).Run()
+}
+
+// nudgeSteps is how many of Prim's steps a Stream publishes between
+// nudges.
+const nudgeSteps = 16
+
+// Stream is Detect with the walk open to other goroutines while Prim
+// runs. Run grows the tree on its caller's goroutine and publishes each
+// joining step; Advance, called from any goroutine, takes the steps
+// published so far into the walk, which confirms compact sets and hands
+// their nodes to ready as it goes. One goroutine at a time advances the
+// walk: Advance returns at once while another holds it. ready runs on
+// whichever goroutine advances the walk, with the walk held, which keeps
+// the hand-overs in the walk's order; so it must return promptly and not
+// call back into the Stream. Once Prim has finished, Run takes the
+// remaining steps itself and completes the walk, so a Stream that nobody
+// advances is Detect.
+type Stream struct {
+	m *matrix.Matrix
+	// nudge, when non-nil, is called on Run's goroutine after every
+	// nudgeSteps published steps, so that a goroutine parked until there
+	// are steps to take can wake. It must not block.
+	nudge func()
+	// Step j, for 1 ≤ j < n, joined vertex joined[j] along an edge of
+	// weight weight[j] from tree vertex from[j]; Run writes a step before
+	// it publishes it.
+	joined, from []int
+	weight       []float64
+	published    atomic.Int64 // steps written
+	grown        atomic.Bool  // Prim has finished
+	mu           sync.Mutex   // held by the goroutine advancing the walk
+	taken        int          // steps the walk has taken, under mu
+	w            walk         // under mu
+}
+
+// NewStream prepares the detection of m's compact sets; ready and nudge
+// may be nil.
+func NewStream(m *matrix.Matrix, ready func(*Hierarchy), nudge func()) *Stream {
 	n := m.Len()
+	s := &Stream{m: m, nudge: nudge,
+		joined: make([]int, n), from: make([]int, n), weight: make([]float64, n)}
+	s.w.init(m, ready)
+	return s
+}
+
+// Run grows the minimum spanning tree, publishing each step, then takes
+// the steps no Advance has taken and completes the walk, handing the
+// root to ready last. It returns what Detect returns and may be called
+// once.
+func (s *Stream) Run() (*Hierarchy, []Set, error) {
+	n := s.m.Len()
 	if n == 0 {
 		return nil, nil, fmt.Errorf("compact: empty matrix")
 	}
-	mst, err := graph.MST(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The leaves, and the members of every singleton component, share one
-	// array; a capacity of one makes mergeSorted copy out of it.
-	all := make([]int, n)
-	leaves := make([]Hierarchy, n)
-	leafPtrs := make([]*Hierarchy, n)
-	// Per root: the component's sorted members, its largest internal
-	// distance, the index of the MST edge that formed it (-1 for a
-	// singleton, which is no candidate), and its maximal confirmed parts.
-	members := make([][]int, n)
-	maxIn := make([]float64, n)
-	formed := make([]int, n)
-	parts := make([][]*Hierarchy, n)
-	for v := range all {
-		all[v] = v
-		members[v] = all[v : v+1 : v+1]
-		leaves[v] = Hierarchy{Members: members[v], Compact: true}
-		leafPtrs[v] = &leaves[v]
-		parts[v] = leafPtrs[v : v+1 : v+1]
-		formed[v] = -1
-	}
-	if n == 1 {
-		return &Hierarchy{Members: all}, nil, nil // a lone species is a leaf
-	}
-	uf := graph.NewUnionFind(n)
-	// found[i] is the set mst[i] formed, if it proved compact. The last
-	// edge forms V itself, which is not reported.
-	found := make([]Set, n-2)
-	top := mst[n-2].Weight // the heaviest edge, which weighs every test at most
-	for i, e := range mst {
-		ra, rb := uf.Find(e.U), uf.Find(e.V)
-		for _, r := range [2]int{ra, rb} {
-			if formed[r] >= 0 && maxIn[r] < e.Weight {
-				s := Set(slices.Clone(members[r]))
-				found[formed[r]] = s
-				parts[r] = []*Hierarchy{wrap(s, parts[r], true, ready)}
-			}
+	j := 0
+	graph.Prim(s.m, func(v, from int, weight float64) {
+		j++
+		s.joined[j], s.from[j], s.weight[j] = v, from, weight
+		s.published.Store(int64(j))
+		if s.nudge != nil && j%nudgeSteps == 0 {
+			s.nudge()
 		}
-		cross := 0.0
-		if maxIn[ra] < top && maxIn[rb] < top {
-		scan:
-			for _, a := range members[ra] {
-				row := m.Row(a)
-				for _, b := range members[rb] {
-					if d := row[b]; d > cross {
-						if cross = d; cross >= top {
-							break scan
-						}
+	})
+	s.grown.Store(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The heaviest tree edge is known now, so the cross scans of the
+	// remaining merges may stop at it.
+	if n > 1 {
+		s.w.top = slices.Max(s.weight[1:])
+	}
+	for s.taken < n-1 {
+		s.next()
+	}
+	root, sets := s.w.finish()
+	return root, sets, nil
+}
+
+// Advance takes the steps Prim has published into the walk, unless
+// another goroutine is advancing it, and returns. Once Prim has finished
+// it stops at the next step and leaves the rest to Run, whose scans may
+// stop early.
+func (s *Stream) Advance() {
+	if !s.mu.TryLock() {
+		return
+	}
+	defer s.mu.Unlock()
+	for p := int(s.published.Load()); s.taken < p && !s.grown.Load(); {
+		s.next()
+	}
+}
+
+// next feeds the walk its next step; the caller holds mu.
+func (s *Stream) next() {
+	s.taken++
+	s.w.add(s.joined[s.taken], s.from[s.taken], s.weight[s.taken])
+}
+
+// walk turns Prim's joining order into the compact sets and their
+// hierarchy. Let e_j be the edge that joins the j-th vertex. The
+// components of Kruskal's walk are runs of the order, and Kruskal's merge
+// tree is the max-Cartesian tree of e_1 … e_{n−1} under the strict edge
+// order, which the stack of open runs builds left to right: a new edge
+// first merges every run on top whose left edge is lighter, and each
+// merge forms one component of Kruskal's walk, now complete, whose
+// cut weight Min(C, V∖C) is the lighter of its two bounding edges. The
+// test is Max(C) below that weight. Max(C) grows by the cross pairs of
+// each merge, which visits every pair once. No test weighs more than the
+// heaviest tree edge, top, so once Max(C) reaches it neither C nor any
+// run holding C can be compact: the cross scan stops there, and later
+// merges of C scan nothing. Until Prim has finished top is unknown (+Inf)
+// and every merge scans in full. Each run carries the list of its maximal
+// confirmed parts, compact nodes and singleton leaves; a merge
+// concatenates the two lists, and a confirmation wraps its list into the
+// run's node. The walk takes O(n²) time and O(n) extra memory besides
+// its output.
+type walk struct {
+	m      *matrix.Matrix
+	ready  func(*Hierarchy)
+	top    float64
+	leaves []*Hierarchy // leaves[v] is species v's leaf
+	all    []int        // 0..n−1: the leaves' members, and each singleton run's
+	stack  []run
+	sets   []Set      // the confirmed sets, in confirmation order
+	formed []formedBy // one per confirmed set
+}
+
+// run is one open run of Prim's order on the walk's stack.
+type run struct {
+	left    graph.Edge // the edge that joined the run's first vertex; +Inf weight for the first run
+	formed  graph.Edge // the edge whose merge formed the run
+	members []int      // sorted
+	maxIn   float64    // the largest distance inside, or a lower bound of it ≥ top
+	parts   []*Hierarchy
+}
+
+// formedBy pairs a confirmed set's index with the edge whose merge formed
+// it. It holds no pointer, so sorting it moves no pointers.
+type formedBy struct {
+	edge graph.Edge
+	set  int
+}
+
+func (w *walk) init(m *matrix.Matrix, ready func(*Hierarchy)) {
+	n := m.Len()
+	w.m, w.ready, w.top = m, ready, math.Inf(1)
+	w.all = make([]int, n)
+	nodes := make([]Hierarchy, n)
+	w.leaves = make([]*Hierarchy, n)
+	w.stack = make([]run, 0, n)
+	// The leaves, and the members of every singleton run, share one
+	// array; a capacity of one makes mergeSorted copy out of it.
+	for v := range w.all {
+		w.all[v] = v
+		nodes[v] = Hierarchy{Members: w.all[v : v+1 : v+1], Compact: true}
+		w.leaves[v] = &nodes[v]
+	}
+	if n > 0 {
+		w.push(graph.Edge{Weight: math.Inf(1)}, 0)
+	}
+}
+
+// push opens a run of the one vertex v, which joined along edge left.
+func (w *walk) push(left graph.Edge, v int) {
+	w.stack = append(w.stack, run{left: left, members: w.all[v : v+1 : v+1], parts: w.leaves[v : v+1 : v+1]})
+}
+
+// add takes the step joining v to tree vertex from along an edge of the
+// given weight.
+func (w *walk) add(v, from int, weight float64) {
+	e := graph.Edge{U: min(v, from), V: max(v, from), Weight: weight}
+	for len(w.stack) > 1 && w.stack[len(w.stack)-1].left.Compare(e) < 0 {
+		w.merge()
+		w.test(weight)
+	}
+	w.push(e, v)
+}
+
+// finish merges the runs left once Prim's order has run out, the last
+// merge forming V, and returns the root and the confirmed sets sorted by
+// the edges that formed them: Kruskal's discovery order.
+func (w *walk) finish() (*Hierarchy, []Set) {
+	if len(w.all) == 1 {
+		return &Hierarchy{Members: w.all}, nil // a lone species is a leaf
+	}
+	for len(w.stack) > 1 {
+		w.merge()
+		if len(w.stack) > 1 {
+			w.test(math.Inf(1))
+		}
+	}
+	r := &w.stack[0]
+	root := wrap(r.members, r.parts, false, w.ready)
+	slices.SortFunc(w.formed, func(a, b formedBy) int { return a.edge.Compare(b.edge) })
+	var sets []Set
+	for _, f := range w.formed {
+		sets = append(sets, w.sets[f.set])
+	}
+	return root, sets
+}
+
+// merge joins the top two runs of the stack along the upper one's left
+// edge.
+func (w *walk) merge() {
+	t := len(w.stack) - 1
+	a, b := &w.stack[t-1], &w.stack[t]
+	cross := 0.0
+	if a.maxIn < w.top && b.maxIn < w.top {
+	scan:
+		for _, x := range a.members {
+			row := w.m.Row(x)
+			for _, y := range b.members {
+				if d := row[y]; d > cross {
+					if cross = d; cross >= w.top {
+						break scan
 					}
 				}
 			}
 		}
-		newMax := math.Max(cross, math.Max(maxIn[ra], maxIn[rb]))
-		merged := mergeSorted(members[ra], members[rb])
-		pa, pb := parts[ra], parts[rb]
-		if cap(pa) < cap(pb) {
-			pa, pb = pb, pa // append onto the roomier list
-		}
-		joined := append(pa, pb...)
-		// Only the new root's lists stay live.
-		members[ra], members[rb], parts[ra], parts[rb] = nil, nil, nil, nil
-		uf.Union(ra, rb)
-		r := uf.Find(ra)
-		members[r], maxIn[r], formed[r], parts[r] = merged, newMax, i, joined
 	}
-	r := uf.Find(0)
-	root := wrap(members[r], parts[r], false, ready)
-	sets := found[:0]
-	for _, s := range found {
-		if s != nil {
-			sets = append(sets, s)
-		}
+	a.maxIn = max(cross, a.maxIn, b.maxIn)
+	a.formed = b.left
+	a.members = mergeSorted(a.members, b.members)
+	pa, pb := a.parts, b.parts
+	if cap(pa) < cap(pb) {
+		pa, pb = pb, pa // append onto the roomier list
 	}
-	if len(sets) == 0 {
-		sets = nil
+	a.parts = append(pa, pb...)
+	w.stack = w.stack[:t]
+}
+
+// test confirms the top run when it is compact: when its largest inner
+// distance is below both its left edge and the edge of the given weight
+// that bounds it on the right.
+func (w *walk) test(right float64) {
+	r := &w.stack[len(w.stack)-1]
+	if r.maxIn < min(r.left.Weight, right) {
+		s := Set(slices.Clone(r.members))
+		w.formed = append(w.formed, formedBy{r.formed, len(w.sets)})
+		w.sets = append(w.sets, s)
+		r.parts = []*Hierarchy{wrap(s, r.parts, true, w.ready)}
 	}
-	return root, sets, nil
 }
 
 // wrap makes the hierarchy node of a component from its maximal confirmed

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,7 @@ func referenceFind(m *matrix.Matrix) []Set {
 	if err != nil {
 		panic(err)
 	}
-	uf := graph.NewUnionFind(n)
+	uf := newUnionFind(n)
 	members := make(map[int][]int, n)
 	maxIn := make(map[int]float64, n)
 	for v := 0; v < n; v++ {
@@ -61,6 +62,69 @@ func referenceFind(m *matrix.Matrix) []Set {
 		}
 	}
 	return sets
+}
+
+// unionFind is a disjoint-set forest with union by rank and path
+// compression: the reference detector's components.
+type unionFind struct {
+	parent []int
+	rank   []int
+}
+
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int) *unionFind {
+	u := &unionFind{
+		parent: make([]int, n),
+		rank:   make([]int, n),
+	}
+	for i := range u.parent {
+		u.parent[i] = i
+	}
+	return u
+}
+
+// Find returns the representative of x's set.
+func (u *unionFind) Find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
+	}
+	return x
+}
+
+// Union merges the sets containing a and b; it reports whether a merge
+// happened (false if they were already together).
+func (u *unionFind) Union(a, b int) bool {
+	ra, rb := u.Find(a), u.Find(b)
+	if ra == rb {
+		return false
+	}
+	if u.rank[ra] < u.rank[rb] {
+		ra, rb = rb, ra
+	}
+	u.parent[rb] = ra
+	if u.rank[ra] == u.rank[rb] {
+		u.rank[ra]++
+	}
+	return true
+}
+
+func TestUnionFind(t *testing.T) {
+	uf := newUnionFind(5)
+	if !uf.Union(0, 1) {
+		t.Fatal("first union must merge")
+	}
+	if uf.Union(1, 0) {
+		t.Fatal("repeated union must not merge")
+	}
+	uf.Union(2, 3)
+	uf.Union(0, 3)
+	if uf.Find(1) != uf.Find(2) {
+		t.Fatal("1 and 2 must share a set")
+	}
+	if uf.Find(4) == uf.Find(0) {
+		t.Fatal("4 must be separate")
+	}
 }
 
 // referenceHierarchy arranges sets by descending into the tree from the
@@ -262,32 +326,107 @@ func valued(n int, d func() float64) *matrix.Matrix {
 // by 0.1, whose distances round.
 func TestFindMatchesReference(t *testing.T) {
 	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		var m *matrix.Matrix
-		switch rng.Intn(6) {
-		case 0:
-			m = matrix.RandomMetric(rng, n, 50, 100)
-		case 1:
-			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
-		case 2:
-			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
-		case 3:
-			m = matrix.RandomMetric(rng, n, 50, 100)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					m.Set(i, j, 0.1*m.At(i, j))
-				}
-			}
-		case 4:
-			m = valued(n, func() float64 { return 7 })
-		default:
-			m = valued(n, func() float64 { return float64(1 + rng.Intn(2)) })
-		}
-		return matchesReference(t, m)
+		return matchesReference(t, referenceFamily(seed))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceFamily draws the matrix of seed from the reference families:
+// n from 1 to 40, metric, heavily tied, perturbed-ultrametric, a metric
+// scaled by 0.1, all-equal or two-valued.
+func referenceFamily(seed int64) *matrix.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(40)
+	var m *matrix.Matrix
+	switch rng.Intn(6) {
+	case 0:
+		m = matrix.RandomMetric(rng, n, 50, 100)
+	case 1:
+		m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
+	case 2:
+		m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+	case 3:
+		m = matrix.RandomMetric(rng, n, 50, 100)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				m.Set(i, j, 0.1*m.At(i, j))
+			}
+		}
+	case 4:
+		m = valued(n, func() float64 { return 7 })
+	default:
+		m = valued(n, func() float64 { return float64(1 + rng.Intn(2)) })
+	}
+	return m
+}
+
+// streamMatchesDetect runs a Stream on m with Prim on the caller's
+// goroutine and Advance raced from three others, each woken by every
+// nudge, and requires Detect's root and sets, and a hand-over order the
+// nodes can be solved in.
+func streamMatchesDetect(t *testing.T, m *matrix.Matrix) bool {
+	t.Helper()
+	wantRoot, wantSets, err := Detect(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const racers = 3
+	wake, done := make(chan struct{}, racers), make(chan struct{})
+	nudge := func() {
+		for range racers {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
+	}
+	var seen []*Hierarchy // ready runs under the walk's lock
+	s := NewStream(m, func(h *Hierarchy) { seen = append(seen, h) }, nudge)
+	var wg sync.WaitGroup
+	for range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-wake:
+					s.Advance()
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	root, sets, err := s.Run()
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(root, wantRoot) || !reflect.DeepEqual(sets, wantSets) {
+		t.Errorf("n=%d: Stream = %s with sets %v, Detect %s with %v", m.Len(), root, sets, wantRoot, wantSets)
+		return false
+	}
+	if err := readyOrder(root, seen); err != nil {
+		t.Errorf("n=%d: %v", m.Len(), err)
+		return false
+	}
+	return true
+}
+
+// TestStreamMatchesDetect races the concurrent form on the reference
+// families and on seqsim inputs.
+func TestStreamMatchesDetect(t *testing.T) {
+	check := func(seed int64) bool {
+		return streamMatchesDetect(t, referenceFamily(seed))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{400, 600} {
+		streamMatchesDetect(t, seqsimMatrix(t, int64(n), n))
 	}
 }
 

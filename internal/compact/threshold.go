@@ -8,7 +8,7 @@ import (
 )
 
 // FindByThreshold detects compact sets by an independent route, used to
-// cross-validate the Kruskal-based Find: a set C is compact exactly when
+// cross-validate the MST-based Find: a set C is compact exactly when
 // it is a connected component of the threshold graph G_≤t (the complete
 // graph restricted to edges of weight ≤ t) for some t, and satisfies
 // Max(C) < Min(C, V∖C). Enumerating the components of G_≤t for every

@@ -142,44 +142,54 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	// Reduce and solve the internal hierarchy nodes while detection still
 	// runs — the "constructing evolutionary tree in parallel" of the
-	// paper's title. Detection hands each node over the moment it is final
-	// (children first, the root last); opt.Workers−1 goroutines take the
-	// largest ready node first, and the caller joins them once detection
-	// returns, starting at once on the root. A node needs only the input
-	// and its children's members, so any order works; each result goes to
-	// the node's own job, and the tree is assembled once all are in. The
-	// semaphore is weighted in search-goroutine units: detection holds one
-	// unit and then works with it, a goroutine holds one while it works
-	// through ready nodes, and a parallel solve adds one per further pbb
-	// worker, so detection, reductions and searches never run on more than
-	// opt.Workers goroutines together.
+	// paper's title. The caller grows the minimum spanning tree, and
+	// opt.Workers−1 goroutines advance the detection walk over its joining
+	// order, which hands each node over the moment it is final (children
+	// first, the root last), and reduce and solve ready nodes, largest
+	// first. Once the tree is grown the caller completes the walk, then
+	// joins the pool, starting at once on the root. A node needs only the
+	// input and its children's members, so any order works; each result
+	// goes to the node's own job, and the tree is assembled once all are
+	// in. The semaphore is weighted in search-goroutine units: detection
+	// holds one unit and then works with it, a goroutine holds one while
+	// it advances the walk and works through ready nodes, and a parallel
+	// solve adds one per further pbb worker, so detection, reductions and
+	// searches never run on more than opt.Workers goroutines together.
 	sem := newWorkerSem(opt.Workers)
 	sem.acquire() // detection's unit
 	// solve reduces internal node h and solves its small matrix; id tags
 	// the node's telemetry events.
 	solve := func(id int, h *compact.Hierarchy) solved {
+		k := len(h.Children)
 		// A big node adds the units free now to its goroutine's one.
 		grant := 1
-		parallel := len(h.Children) >= parallelThreshold && opt.Workers > 1
+		parallel := k >= parallelThreshold && opt.Workers > 1
 		if parallel {
 			extra := sem.take(opt.Workers - 1)
 			defer sem.release(extra)
 			grant += extra
 		}
-		reduceStart := time.Now()
-		small, _, err := compact.Reduce(m, h, opt.Reduction)
-		if err != nil {
-			return solved{err: err}
+		var small *matrix.Matrix
+		if k != 2 { // a two-group node needs no reduced matrix
+			reduceStart := time.Now()
+			var err error
+			if small, _, err = compact.Reduce(m, h, opt.Reduction); err != nil {
+				return solved{err: err}
+			}
+			emit(obs.Event{Kind: obs.PhaseEnd, Phase: "reduce", Worker: id,
+				N: k, Elapsed: time.Since(reduceStart)})
 		}
-		emit(obs.Event{Kind: obs.PhaseEnd, Phase: "reduce", Worker: id,
-			N: small.Len(), Elapsed: time.Since(reduceStart)})
 		emit(obs.Event{Kind: obs.SubproblemStart, Worker: id,
-			N: small.Len(), Elapsed: time.Since(pipeStart)})
+			N: k, Elapsed: time.Since(pipeStart)})
 		solveStart := time.Now()
 		s := solved{optimal: true}
 		switch {
-		case small.Len() == 1:
+		case k == 1:
 			s.tree = tree.New(0)
+		case k == 2:
+			// No search either, so no search statistics.
+			s.tree = pairTree(m, h, opt.Reduction)
+			s.sub.Cost = s.tree.Cost()
 		case parallel:
 			// Big subproblem: the parallel engine, as in the paper. It runs
 			// with as many workers as the semaphore could spare (at least
@@ -202,17 +212,28 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			s.optimal = sres.Optimal
 		}
 		emit(obs.Event{Kind: obs.SubproblemFinish, Worker: id,
-			N: small.Len(), Value: s.sub.Cost, Elapsed: time.Since(solveStart)})
+			N: k, Value: s.sub.Cost, Elapsed: time.Since(solveStart)})
 		s.sub.Group = append([]int(nil), h.Members...)
-		s.sub.Size = small.Len()
+		s.sub.Size = k
 		return s
 	}
 
-	q := newReadyQueue()
-	// work reduces and solves ready nodes, largest first, until none is
-	// ready; its goroutine holds one unit meanwhile.
+	q := newReadyQueue(opt.Workers - 1)
+	det := compact.NewStream(m, q.push, q.nudge)
+	// work reduces and solves ready nodes, largest first, and advances the
+	// walk whenever none is ready, until the walk yields none either; its
+	// goroutine holds one unit meanwhile. Solving first leaves more of the
+	// walk to the caller once the tree is grown, when its cross scans may
+	// stop early.
 	work := func() {
-		for j := q.pop(); j != nil; j = q.pop() {
+		for {
+			j := q.pop()
+			if j == nil {
+				det.Advance()
+				if j = q.pop(); j == nil {
+					return
+				}
+			}
 			j.solved = solve(j.id, j.h)
 			if j.err != nil {
 				q.fail() // the remaining nodes are skipped
@@ -224,9 +245,11 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Between runs of ready nodes the unit goes back, so a big
-			// node can take it.
-			for q.wait() {
+			// A goroutine parks until woken, then works; between runs the
+			// unit goes back, so a big node can take it. It works once
+			// more after detection returns.
+			for more := true; more; {
+				more = q.park()
 				sem.acquire()
 				work()
 				sem.release(1)
@@ -235,11 +258,13 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	emit(obs.Event{Kind: obs.PhaseStart, Phase: "compact-detect", N: m.Len()})
 	detectStart := time.Now()
-	hier, sets, err := compact.Detect(m, q.push)
-	q.close()
+	hier, sets, err := det.Run()
 	if err == nil {
 		emit(obs.Event{Kind: obs.PhaseEnd, Phase: "compact-detect",
 			N: len(sets), Elapsed: time.Since(detectStart)})
+	}
+	q.close()
+	if err == nil {
 		// The caller completes the pool with detection's unit and starts
 		// on the root, the largest node, at once.
 		work()
@@ -282,6 +307,15 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "validate",
 		N: m.Len(), Elapsed: time.Since(validateStart)})
 	return res, nil
+}
+
+// pairTree returns the group tree of internal node h with two children:
+// the groups, at reduced distance d under r, join at d/2. That is the tree
+// bb.Solve returns for the node's 2×2 matrix, whose max–min permutation
+// is the identity and whose UPGMM seed is already optimal.
+func pairTree(m *matrix.Matrix, h *compact.Hierarchy, r compact.Reduction) *tree.Tree {
+	d := compact.GroupDistance(m, h.Children[0].Members, h.Children[1].Members, r)
+	return tree.Join(tree.New(0), tree.New(1), d/2)
 }
 
 // solved is what reducing and solving one internal hierarchy node leaves

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"evotree/internal/bb"
 	"evotree/internal/compact"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
@@ -445,5 +447,70 @@ func TestConstructReportsSubproblemError(t *testing.T) {
 		if !strings.Contains(err.Error(), "exceeds the supported maximum") {
 			t.Fatalf("workers=%d: error %q, want the search's size error", workers, err)
 		}
+	}
+}
+
+// TestPairTreeMatchesSearch pins the closed form of a two-group node
+// against bb.Solve on the node's reduced 2×2 matrix: the same tree nodes
+// and the same cost bits, under every reduction and search option set.
+// Besides seqsim's many two-group nodes, the inputs include tied cross
+// distances and roots with two children.
+func TestPairTreeMatchesSearch(t *testing.T) {
+	tied := matrix.New(4) // {0,1} and {2,3}, every cross pair at 5
+	tied.Set(0, 1, 1)
+	tied.Set(2, 3, 1)
+	for _, p := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
+		tied.Set(p[0], p[1], 5)
+	}
+	twoClusters := threeBlocks(39) // the first block against the rest
+	for i := 13; i < 26; i++ {
+		for j := 26; j < 39; j++ {
+			twoClusters.Set(i, j, 12)
+		}
+	}
+	pair := matrix.New(2)
+	pair.Set(0, 1, 3)
+	mats := []*matrix.Matrix{tied, twoClusters, pair, seqsimMatrix(t, 5, 400),
+		matrix.PerturbedUltrametric(rand.New(rand.NewSource(40)), 60, 100, 0.1)}
+	noSeed := bb.DefaultOptions()
+	noSeed.NoInitialUB = true
+	opts := []bb.Options{bb.DefaultOptions(), bb.PaperOptions(), noSeed}
+	pairs, pairRoots := 0, 0
+	for _, m := range mats {
+		h, _, err := compact.BuildHierarchy(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h.Children) == 2 {
+			pairRoots++
+		}
+		for _, g := range h.PostOrder() {
+			if len(g.Children) != 2 {
+				continue
+			}
+			pairs++
+			for _, r := range []compact.Reduction{compact.Maximum, compact.Minimum, compact.Average} {
+				got := pairTree(m, g, r)
+				small, _, err := compact.Reduce(m, g, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range opts {
+					want, err := bb.Solve(small, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Root != want.Tree.Root || !reflect.DeepEqual(got.Nodes, want.Tree.Nodes) {
+						t.Fatalf("%v on %v: closed form %v, search %v", r, g.Members, got.Nodes, want.Tree.Nodes)
+					}
+					if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost) {
+						t.Fatalf("%v on %v: closed-form cost %v, search %v", r, g.Members, got.Cost(), want.Cost)
+					}
+				}
+			}
+		}
+	}
+	if pairs < 100 || pairRoots < 3 {
+		t.Fatalf("%d two-group nodes, %d of them roots; the check wants many, and roots", pairs, pairRoots)
 	}
 }

@@ -19,23 +19,29 @@ type job struct {
 // readyQueue hands the nodes detection confirms to the pool, the largest
 // (by member count) first and, among equals, the earliest. Ids count the
 // nodes in the order detection hands them over, which depends on the
-// input alone, so event ids are the same at every worker count.
+// input alone, so event ids are the same at every worker count. An idle
+// pool goroutine parks on the queue; a push, or a nudge from detection
+// that it has steps for the walk, wakes one, and the end of detection
+// wakes them all.
 type readyQueue struct {
 	mu     sync.Mutex
-	cond   sync.Cond
 	ready  []*job                      // ascending by member count, then by descending id
 	jobs   map[*compact.Hierarchy]*job // every node handed over
-	closed bool                        // detection has returned
 	failed bool                        // a node failed: pop hands out no more
+	// wake holds one token per parked goroutine to be woken; a full
+	// channel drops the send, so a wake never blocks.
+	wake chan struct{}
+	done chan struct{} // closed once detection has returned
 }
 
-func newReadyQueue() *readyQueue {
-	q := &readyQueue{jobs: map[*compact.Hierarchy]*job{}}
-	q.cond.L = &q.mu
-	return q
+// newReadyQueue returns an empty queue for a pool of the given number of
+// goroutines.
+func newReadyQueue(pool int) *readyQueue {
+	return &readyQueue{jobs: map[*compact.Hierarchy]*job{},
+		wake: make(chan struct{}, pool), done: make(chan struct{})}
 }
 
-// push makes node h ready; it is Detect's ready callback.
+// push makes node h ready; it is detection's ready callback.
 func (q *readyQueue) push(h *compact.Hierarchy) {
 	q.mu.Lock()
 	j := &job{id: len(q.jobs), h: h}
@@ -45,18 +51,32 @@ func (q *readyQueue) push(h *compact.Hierarchy) {
 	})
 	q.ready = slices.Insert(q.ready, i, j)
 	q.mu.Unlock()
-	q.cond.Signal()
+	q.nudge()
 }
 
-// wait blocks until a node is ready, and reports false instead once
-// detection has returned and no node is left, or after a failure.
-func (q *readyQueue) wait() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.ready) == 0 && !q.closed && !q.failed {
-		q.cond.Wait()
+// nudge wakes one parked goroutine, if none is due to wake already,
+// without blocking.
+func (q *readyQueue) nudge() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
 	}
-	return len(q.ready) > 0 && !q.failed
+}
+
+// park blocks until a nudge, and reports false instead once detection
+// has returned.
+func (q *readyQueue) park() bool {
+	select {
+	case <-q.done:
+		return false
+	default:
+	}
+	select {
+	case <-q.wake:
+		return true
+	case <-q.done:
+		return false
+	}
 }
 
 // pop returns the largest ready node, or nil when none is ready or after
@@ -72,18 +92,13 @@ func (q *readyQueue) pop() *job {
 	return j
 }
 
-// close records that detection has returned and wakes every waiter.
-func (q *readyQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
+// close records that detection has returned and wakes every parked
+// goroutine.
+func (q *readyQueue) close() { close(q.done) }
 
 // fail stops the queue from handing out further nodes.
 func (q *readyQueue) fail() {
 	q.mu.Lock()
 	q.failed = true
 	q.mu.Unlock()
-	q.cond.Broadcast()
 }

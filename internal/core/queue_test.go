@@ -11,7 +11,7 @@ import (
 // members first and, among equals, the one handed over first; ids count
 // the hand-overs.
 func TestReadyQueueLargestFirst(t *testing.T) {
-	q := newReadyQueue()
+	q := newReadyQueue(1)
 	for _, size := range []int{2, 5, 3, 5, 2} {
 		q.push(&compact.Hierarchy{Members: make([]int, size)})
 	}
@@ -23,7 +23,7 @@ func TestReadyQueueLargestFirst(t *testing.T) {
 	if want := []int{1, 3, 2, 0, 4}; !slices.Equal(got, want) {
 		t.Fatalf("popped ids %v, want %v", got, want)
 	}
-	if q.wait() {
-		t.Fatal("wait reported a node after the queue was drained and closed")
+	if q.park() {
+		t.Fatal("park reported a wake after the queue was drained and closed")
 	}
 }

@@ -1,10 +1,11 @@
 // Package graph provides the complete weighted graph view of a distance
-// matrix, a union–find structure, and the minimum spanning tree in
-// Kruskal's acceptance order — the machinery the compact-set algorithm of
-// the paper is built on.
+// matrix and its minimum spanning tree, grown by Prim's algorithm in
+// joining order or listed in Kruskal's acceptance order — the machinery
+// the compact-set algorithm of the paper is built on.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -24,74 +25,21 @@ type Weights interface {
 	Row(i int) []float64
 }
 
-// edgeLess is the strict total order on edges: ascending by weight, ties
-// broken by (U, V).
-func edgeLess(a, b Edge) bool {
-	if a.Weight != b.Weight {
-		return a.Weight < b.Weight
+// Compare is the strict total order on edges: ascending by weight, ties
+// broken by (U, V). It returns −1, 0 or +1, as cmp.Compare does.
+func (a Edge) Compare(b Edge) int {
+	switch {
+	case a.Weight < b.Weight:
+		return -1
+	case a.Weight > b.Weight:
+		return 1
 	}
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 }
 
 // SortEdges orders edges ascending by weight, breaking ties by endpoints.
 func SortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		switch {
-		case edgeLess(a, b):
-			return -1
-		case edgeLess(b, a):
-			return 1
-		}
-		return 0
-	})
-}
-
-// UnionFind is a disjoint-set forest with union by rank and path
-// compression.
-type UnionFind struct {
-	parent []int
-	rank   []int
-}
-
-// NewUnionFind returns n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{
-		parent: make([]int, n),
-		rank:   make([]int, n),
-	}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-// Find returns the representative of x's set.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets containing a and b; it reports whether a merge
-// happened (false if they were already together).
-func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	return true
+	slices.SortFunc(edges, Edge.Compare)
 }
 
 // MST computes the minimum spanning tree of the complete graph induced by
@@ -100,14 +48,33 @@ func (u *UnionFind) Union(a, b int) bool {
 // compact-set algorithm requires. An error is returned for n < 1.
 //
 // Edges are compared by the strict total order of SortEdges, under which
-// the MST is unique, so a dense Prim finds the very tree Kruskal would and
-// sorting its n−1 edges gives Kruskal's order. That is O(n²) time and O(n)
-// extra memory, where Kruskal over all pairs needs O(n² log n) time and an
+// the MST is unique, so Prim finds the very tree Kruskal would and sorting
+// its n−1 edges gives Kruskal's order. That is O(n²) time and O(n) extra
+// memory, where Kruskal over all pairs needs O(n² log n) time and an
 // n(n−1)/2 edge list.
 func MST(w Weights) ([]Edge, error) {
 	n := w.Len()
 	if n < 1 {
 		return nil, fmt.Errorf("graph: MST of empty vertex set")
+	}
+	out := make([]Edge, 0, n-1)
+	Prim(w, func(v, from int, weight float64) {
+		out = append(out, Edge{U: min(v, from), V: max(v, from), Weight: weight})
+	})
+	SortEdges(out)
+	return out, nil
+}
+
+// Prim grows the minimum spanning tree of the complete graph induced by w
+// from vertex 0, a dense Prim under the strict order of SortEdges, and
+// calls step once for each vertex v that joins the tree, in joining order:
+// v joins along the least edge leaving the tree, {from, v} of the given
+// weight, from being already in the tree. It takes O(n²) time and O(n)
+// extra memory; for n < 2 it calls step never.
+func Prim(w Weights, step func(v, from int, weight float64)) {
+	n := w.Len()
+	if n < 2 {
+		return
 	}
 	// rest lists the vertices not yet in the tree. The least edge joining
 	// rest[k] to the tree has weight restW[k] and tree endpoint
@@ -120,7 +87,6 @@ func MST(w Weights) ([]Edge, error) {
 	for k := range rest {
 		rest[k], restW[k] = k+1, math.Inf(1)
 	}
-	out := make([]Edge, 0, n-1)
 	for t := 0; len(rest) > 0; {
 		// One pass: t has just joined, so its row may offer cheaper edges,
 		// and the least edge leaving the tree, under the strict order, is
@@ -140,13 +106,11 @@ func MST(w Weights) ([]Edge, error) {
 				}
 			}
 		}
-		out = append(out, e)
-		// The last vertex takes the joined one's slot.
 		t = rest[kn]
+		step(t, from[kn], e.Weight)
+		// The last vertex takes the joined one's slot.
 		last := len(rest) - 1
 		rest[kn], ws[kn], from[kn] = rest[last], ws[last], from[last]
 		rest = rest[:last]
 	}
-	SortEdges(out)
-	return out, nil
 }

@@ -1,33 +1,18 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"evotree/internal/matrix"
 	"evotree/internal/seqsim"
 )
-
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
-	if !uf.Union(0, 1) {
-		t.Fatal("first union must merge")
-	}
-	if uf.Union(1, 0) {
-		t.Fatal("repeated union must not merge")
-	}
-	uf.Union(2, 3)
-	uf.Union(0, 3)
-	if uf.Find(1) != uf.Find(2) {
-		t.Fatal("1 and 2 must share a set")
-	}
-	if uf.Find(4) == uf.Find(0) {
-		t.Fatal("4 must be separate")
-	}
-}
 
 // completeEdges returns every unordered pair of vertices of w as an edge,
 // sorted by SortEdges: the input of the reference Kruskal.
@@ -44,13 +29,22 @@ func completeEdges(w Weights) []Edge {
 }
 
 // kruskal is the reference MST: Kruskal's algorithm over all pairs, with
-// the edges in the order it accepts them.
+// the edges in the order it accepts them. comp labels each vertex with its
+// component, and a merge relabels one side.
 func kruskal(w Weights) []Edge {
 	n := w.Len()
-	uf := NewUnionFind(n)
+	comp := make([]int, n)
+	for v := range comp {
+		comp[v] = v
+	}
 	out := make([]Edge, 0, n-1)
 	for _, e := range completeEdges(w) {
-		if uf.Union(e.U, e.V) {
+		if cu, cv := comp[e.U], comp[e.V]; cu != cv {
+			for v := range comp {
+				if comp[v] == cv {
+					comp[v] = cu
+				}
+			}
 			out = append(out, e)
 			if len(out) == n-1 {
 				break
@@ -118,6 +112,127 @@ func TestMSTAgainstBruteForce(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrimOrder checks what compact-set detection reads off Prim's
+// joining order, on the weight families of TestMSTAgainstBruteForce and
+// on the all-equal, two-valued and scaled matrices of the compact
+// reference tests. Prim's steps are the MST's edges. Every component that
+// Kruskal's walk forms, and so every candidate the reference compact-set
+// finder tests and every set it reports, is a contiguous run l..r of the
+// order, and its cut weight Min(C, V∖C) is the lighter of the edges that
+// join positions l and r+1, +Inf past either end.
+func TestPrimOrder(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		var m *matrix.Matrix
+		switch rng.Intn(7) {
+		case 0:
+			m = matrix.RandomMetric(rng, n, 1, 100)
+		case 1:
+			m = matrix.RandomMetric(rng, n, 1, 4) // heavy ties
+		case 2:
+			m = matrix.PerturbedUltrametric(rng, n, 100, 0.2)
+		case 3:
+			m = matrix.RandomMetric(rng, n, 50, 100)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					m.Set(i, j, 0.1*m.At(i, j))
+				}
+			}
+		default:
+			levels := 1 + rng.Intn(6) // one level is all-equal, two two-valued
+			m = matrix.New(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					m.Set(i, j, float64(1+rng.Intn(levels)))
+				}
+			}
+		}
+		if err := primOrderHolds(m); err != nil {
+			t.Errorf("seed %d, n=%d: %v", seed, n, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{400, 600} {
+		if err := primOrderHolds(seqsimMatrix(t, int64(n), n)); err != nil {
+			t.Fatalf("seqsim n=%d: %v", n, err)
+		}
+	}
+}
+
+// primOrderHolds checks TestPrimOrder's three facts on m.
+func primOrderHolds(m *matrix.Matrix) error {
+	n := m.Len()
+	order, pos := []int{0}, make([]int, n)
+	edges := make([]Edge, 1, n) // edges[j] joined order[j]; edges[0] is unused
+	var bad error
+	Prim(m, func(v, from int, weight float64) {
+		if order[pos[from]] != from || m.At(v, from) != weight {
+			bad = fmt.Errorf("vertex %d joins from %d at %v, which is not a tree vertex or not the edge's weight", v, from, weight)
+		}
+		pos[v] = len(order)
+		order = append(order, v)
+		edges = append(edges, Edge{U: min(v, from), V: max(v, from), Weight: weight})
+	})
+	if bad != nil {
+		return bad
+	}
+	if len(order) != n {
+		return fmt.Errorf("Prim joined %d of %d vertices", len(order), n)
+	}
+	tree := slices.Clone(edges[1:])
+	SortEdges(tree)
+	if want := kruskal(m); !reflect.DeepEqual(tree, want) {
+		return fmt.Errorf("Prim's steps %v are not the MST %v", tree, want)
+	}
+	// Replay Kruskal's walk with member lists and test each component.
+	comp, members := make([]int, n), make([][]int, n)
+	for v := range comp {
+		comp[v], members[v] = v, []int{v}
+	}
+	for _, e := range tree {
+		a, b := comp[e.U], comp[e.V]
+		for _, v := range members[b] {
+			comp[v] = a
+		}
+		members[a], members[b] = append(members[a], members[b]...), nil
+		c := members[a]
+		l, r := n, -1
+		for _, v := range c {
+			l, r = min(l, pos[v]), max(r, pos[v])
+		}
+		if r-l+1 != len(c) {
+			return fmt.Errorf("component %v spans positions %d..%d of Prim's order", c, l, r)
+		}
+		cut, in := math.Inf(1), make([]bool, n)
+		for _, v := range c {
+			in[v] = true
+		}
+		for _, x := range c {
+			for y := 0; y < n; y++ {
+				if !in[y] {
+					cut = min(cut, m.At(x, y))
+				}
+			}
+		}
+		want := math.Inf(1)
+		if l > 0 {
+			want = edges[l].Weight
+		}
+		if r+1 < n {
+			want = min(want, edges[r+1].Weight)
+		}
+		if cut != want {
+			return fmt.Errorf("component %v at positions %d..%d has cut weight %v, bounding edges give %v", c, l, r, cut, want)
+		}
+	}
+	return nil
 }
 
 func TestMSTEmpty(t *testing.T) {

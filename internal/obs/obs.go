@@ -76,10 +76,12 @@ const (
 	PhaseStart
 	PhaseEnd
 	// SubproblemStart/SubproblemFinish bracket one reduced matrix solved
-	// during decomposition. Worker carries the subproblem's index in
-	// core.Result.Subproblems (post-order), N the reduced matrix size;
-	// SubproblemFinish carries the solve duration in Elapsed and the
-	// subtree cost in Value.
+	// during decomposition. Worker carries the node's hand-over id: the
+	// order in which compact-set detection handed the node to the pool,
+	// which follows Prim's joining order and depends on the input alone
+	// (not its index in core.Result.Subproblems, which is post-order).
+	// N is the reduced matrix size; SubproblemFinish carries the solve
+	// duration in Elapsed and the subtree cost in Value.
 	SubproblemStart
 	SubproblemFinish
 

@@ -65,7 +65,6 @@ type Result struct {
 	WorkerStats []bb.Stats // per-worker search statistics
 	PoolGets    int64      // subproblems pulled from the global seed/overflow ring
 	PoolPuts    int64      // subproblems added to the ring (master dispatch + overflow donations)
-	MasterNodes int        // subproblems created by the master before dispatch
 	Sched       SchedStats // work-stealing scheduler traffic (steals, parks, donations)
 }
 
@@ -119,7 +118,6 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	if !ok {
 		res.Optimal = false
 	}
-	res.MasterNodes = len(frontier)
 
 	// Step 6: cyclic dispatch; a 1/(workers+1) share stays in the global
 	// ring (the paper's master "preserves 1/p nodes in GP"), the rest is

@@ -119,21 +119,29 @@ func TestParallelWithThreeThree(t *testing.T) {
 }
 
 func TestWorkerStatsAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	m := matrix.RandomMetric(rng, 9, 50, 100)
-	res, err := Solve(m, DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum bb.Stats
-	for _, ws := range res.WorkerStats {
-		sum.Add(ws)
-	}
-	if sum.Expanded == 0 && res.MasterNodes > 0 {
-		t.Fatal("workers expanded nothing despite dispatched subproblems")
-	}
-	if res.Stats.Expanded < sum.Expanded {
-		t.Fatal("aggregate stats missing worker work")
+	// At n=9 the master's split settles the search; at n=11 it dispatches
+	// subproblems to the workers.
+	for _, n := range []int{9, 11} {
+		rng := rand.New(rand.NewSource(24))
+		m := matrix.RandomMetric(rng, n, 50, 100)
+		res, err := Solve(m, DefaultOptions(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum bb.Stats
+		for _, ws := range res.WorkerStats {
+			sum.Add(ws)
+		}
+		// Every subproblem a worker holds was dispatched to it or generated
+		// by it, and leaves it expanded, pruned or completed, so the
+		// workers' share of the accounting identity counts the dispatch.
+		dispatched := sum.Expanded + sum.Pruned.Total() + sum.Completed - sum.Generated
+		if sum.Expanded == 0 && dispatched > 0 {
+			t.Fatalf("n=%d: workers expanded nothing despite %d dispatched subproblems", n, dispatched)
+		}
+		if res.Stats.Expanded < sum.Expanded {
+			t.Fatalf("n=%d: aggregate stats missing worker work", n)
+		}
 	}
 }
 
