@@ -25,11 +25,13 @@ type Constraints struct {
 // a pruned child costs no allocation at all. ub is the caller's current
 // upper bound (+Inf for an unbounded expansion); collectAll keeps
 // LB == ub children alive, exactly like the engines' prune predicate.
-// Kept children are drawn from np (nil allocates fresh nodes). The
-// returned PruneStats has only Bound, ThreeThree and Constraint components
-// (Expand never discards by incumbent or budget); callers fold it in with
-// Stats.CountExpand, which counts both survivors and discards as
-// Generated.
+// Kept children are drawn from np (nil allocates fresh nodes), and so is
+// the returned slice: it is np's buffer, valid until the next Expand on
+// np, so a caller consumes it before its next step (a nil pool returns a
+// fresh slice). The returned PruneStats has only Bound, ThreeThree and
+// Constraint components (Expand never discards by incumbent or budget);
+// callers fold it in with Stats.CountExpand, which counts both survivors
+// and discards as Generated.
 func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, np *NodePool) (children []*PNode, pruned PruneStats) {
 	s := v.K
 	if s >= p.n {
@@ -43,11 +45,15 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		allowed = p.thirdSpeciesPositions()
 	}
 	tail := p.tail[s+1]
-	// The pass's tables live in the pool's scratch, so the pooled steady
-	// state allocates nothing (guarded by TestPrunedChildrenAllocateNothing);
-	// only the nil-pool path pays for fresh slices.
-	md, r, stk := np.scratch(positions)
-	base := p.price(v, s, md, r, stk)
+	// The pass's tables and the children slice live in the pool, so the
+	// pooled steady state allocates nothing (guarded by the AllocsPerRun
+	// tests in alloc_test.go); only the nil-pool path pays for fresh
+	// slices.
+	md, r := np.scratch(positions)
+	base := p.price(v, s, md, r)
+	if np != nil {
+		children = np.kids[:0]
+	}
 	for pos := 0; pos < positions; pos++ {
 		if restricted && allowed[pos] == 0 {
 			pruned.ThreeThree++
@@ -100,32 +106,6 @@ func sortByLB(children []*PNode) {
 	for i := 1; i < len(children); i++ {
 		for j := i; j > 0 && children[j].LB < children[j-1].LB; j-- {
 			children[j], children[j-1] = children[j-1], children[j]
-		}
-	}
-}
-
-// maxDistSweep fills md[x] = max_{j under x} d[s][j] for every node x of
-// v's partial topology — the quantity the pricing pass and insert need
-// for each candidate position. One leaf-to-root bubbling pass: each placed
-// species walks its ancestor path, raising maxima, and stops at the first
-// ancestor already at or above its value (some leaf below that ancestor
-// carries a larger distance, and that leaf's own walk covers the remaining
-// ancestors). The early exit makes the sweep near linear in K on typical
-// instances. max is order-independent, so md is exact. s may be any
-// unplaced species (the propagation bound sweeps every one of them), so
-// the scan covers exactly the v.K placed leaves.
-func (p *Problem) maxDistSweep(v *PNode, s int, md []float64) {
-	row := p.d[s*p.n : s*p.n+p.n]
-	for i := range md {
-		md[i] = -1
-	}
-	for sp := 0; sp < v.K; sp++ {
-		val := row[sp]
-		for x := v.leafID[sp]; x != -1; x = v.parent[x] {
-			if md[x] >= val {
-				break
-			}
-			md[x] = val
 		}
 	}
 }

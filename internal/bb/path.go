@@ -27,8 +27,8 @@ func (p *Problem) Child(v *PNode, pos int, np *NodePool) (*PNode, error) {
 	}
 	// The same pricing pass as Expand, so a replayed child is
 	// bit-identical to the one Expand kept.
-	md, r, stk := np.scratch(v.Positions())
-	base := p.price(v, v.K, md, r, stk)
+	md, r := np.scratch(v.Positions())
+	base := p.price(v, v.K, md, r)
 	e := v.posNode(pos)
 	return p.insert(v, v.K, e, base+spend(v, e, md, r), np, md), nil
 }

@@ -14,8 +14,9 @@ import (
 // All per-node storage lives in a single slab allocation sized for the
 // complete topology (2n−1 tree nodes), carved into the typed views below.
 // A partial topology with K leaves occupies entries [0, 2K−1) of each view
-// (and [0, K) of leafID); the remaining capacity is used in place as the
-// topology grows, so inserting a species never reallocates.
+// (and [0, K) of leafID, [0, K−1) of order); the remaining capacity is
+// used in place as the topology grows, so inserting a species never
+// reallocates.
 type PNode struct {
 	K    int     // number of species placed (permuted ids 0..K-1)
 	Cost float64 // ω of the minimal UT realizing this partial topology
@@ -31,6 +32,12 @@ type PNode struct {
 	leafID  []int32 // permuted species id -> node id (length n)
 	height  []float64
 	mask    []uint64 // set of permuted species under each node
+
+	// order lists the K−1 internal node ids children first: each after
+	// its internal children, so the root comes last. The pricing pass
+	// reads it forward to fill maxima bottom-up and backward to push
+	// raises top-down (see price).
+	order []int32
 }
 
 // newPNode allocates a node for an n-species problem: one slab holds every
@@ -39,7 +46,7 @@ type PNode struct {
 // correctly aligned; the derived slices keep the backing array alive.
 func newPNode(n int) *PNode {
 	maxN := 2*n - 1                // tree nodes in a complete topology
-	nInt32 := 4*maxN + n           // parent, left, right, species + leafID
+	nInt32 := 4*maxN + 2*n - 1     // parent, left, right, species + leafID + order
 	words := 2*maxN + (nInt32+1)/2 // mask + height + packed int32 area
 	slab := make([]uint64, words)
 	v := &PNode{}
@@ -51,6 +58,7 @@ func newPNode(n int) *PNode {
 	v.right = ints[2*maxN : 3*maxN : 3*maxN]
 	v.species = ints[3*maxN : 4*maxN : 4*maxN]
 	v.leafID = ints[4*maxN : 4*maxN+n : 4*maxN+n]
+	v.order = ints[4*maxN+n : nInt32 : nInt32]
 	return v
 }
 
@@ -67,6 +75,7 @@ func (c *PNode) copyFrom(v *PNode) {
 	copy(c.height[:nn], v.height[:nn])
 	copy(c.mask[:nn], v.mask[:nn])
 	copy(c.leafID[:v.K], v.leafID[:v.K])
+	copy(c.order[:v.K-1], v.order[:v.K-1])
 }
 
 // NodePool is a free list of PNodes for one problem. It is NOT safe for
@@ -78,18 +87,24 @@ type NodePool struct {
 	n    int
 	free []*PNode
 
-	// Pricing-pass scratch (see price): the max-distance table, the raise
-	// table and the node stack of the top-down pass. Expand, Child and the
-	// propagation bound each use it within one call, so one set serves
-	// them all, and the pooled steady state allocates nothing (the
-	// AllocsPerRun guards cover both the expand and the propagate path).
-	md  []float64
-	r   []float64
-	stk []int32
+	// Pricing-pass scratch (see price): the max-distance table and the
+	// raise table. Expand, Child and the propagation bound each use them
+	// within one call, so one pair serves them all, and the pooled steady
+	// state allocates nothing (the AllocsPerRun guards cover both the
+	// expand and the propagate path).
+	md []float64
+	r  []float64
+
+	// kids backs the children slice Expand returns; it is valid until the
+	// next Expand on this pool.
+	kids []*PNode
 }
 
-// NewPool returns an empty free list for p's node size.
-func (p *Problem) NewPool() *NodePool { return &NodePool{n: p.n} }
+// NewPool returns an empty free list for p's node size, with a children
+// buffer sized for the most positions any node of p has.
+func (p *Problem) NewPool() *NodePool {
+	return &NodePool{n: p.n, kids: make([]*PNode, 0, 2*p.n-1)}
+}
 
 // get returns a recycled node, or a freshly allocated one when the free
 // list is empty (or the pool is nil). n is the problem size, needed for
@@ -104,22 +119,21 @@ func (np *NodePool) get(n int) *PNode {
 	return v
 }
 
-// scratch returns the pricing pass's length-nn max-distance table, raise
-// table and node stack, reused across calls so the steady state allocates
-// nothing. The first call sizes them for the complete topology, so a
-// deepening search never regrows them. A nil pool allocates fresh slices
-// (the nil-pool slow path).
-func (np *NodePool) scratch(nn int) (md, r []float64, stk []int32) {
+// scratch returns the pricing pass's length-nn max-distance and raise
+// tables, reused across calls so the steady state allocates nothing. The
+// first call sizes them for the complete topology, so a deepening search
+// never regrows them. A nil pool allocates fresh slices (the nil-pool
+// slow path).
+func (np *NodePool) scratch(nn int) (md, r []float64) {
 	if np == nil {
-		return make([]float64, nn), make([]float64, nn), make([]int32, nn)
+		return make([]float64, nn), make([]float64, nn)
 	}
 	if cap(np.md) < nn {
 		size := max(nn, 2*np.n-1)
 		np.md = make([]float64, size)
 		np.r = make([]float64, size)
-		np.stk = make([]int32, size)
 	}
-	return np.md[:nn], np.r[:nn], np.stk[:nn]
+	return np.md[:nn], np.r[:nn]
 }
 
 // Put recycles a node the caller no longer references. Putting nil is a
@@ -144,6 +158,7 @@ func (p *Problem) Root() *PNode {
 	v.height[0], v.height[1], v.height[2] = 0, 0, h
 	v.mask[0], v.mask[1], v.mask[2] = 1, 2, 3
 	v.leafID[0], v.leafID[1] = 0, 1
+	v.order[0] = 2
 	v.root = 2
 	v.Cost = h + h
 	v.LB = v.Cost + p.tail[2]
@@ -172,36 +187,42 @@ func (v *PNode) posNode(pos int) int32 {
 	return e
 }
 
-// price runs the pricing pass for unplaced species s over v. It sweeps
-// s's max-distance table into md (see maxDistSweep), then one top-down
-// pass fills r[x] = R(x), the sum over the strict ancestors u of x of
+// price runs the pricing pass for unplaced species s over v. Two passes
+// over flat arrays: first md[x] = max_{j under x} d[s][j], the leaves
+// from s's matrix row and then the internal nodes bottom-up in v.order;
+// then r[x] = R(x), top-down over v.order reversed, the sum over the
+// strict ancestors u of x of
 //
 //	A(u) = max(0, md[u]/2 − h(u)),
 //
 // the rise u needs once s sits below it. It returns v.Cost + A(root):
 // inserting s above node e (e = root for the position above the root)
-// then costs that plus spend(v, e, md, r), O(1) per position. stk is the
-// pass's node stack; md, r and stk need length 2K−1.
-func (p *Problem) price(v *PNode, s int, md, r []float64, stk []int32) float64 {
-	p.maxDistSweep(v, s, md)
+// then costs that plus spend(v, e, md, r), O(1) per position. md and r
+// need length 2K−1. s may be any unplaced species (the propagation bound
+// prices every one of them), so the row read covers exactly the v.K
+// placed leaves.
+func (p *Problem) price(v *PNode, s int, md, r []float64) float64 {
+	k := v.K
+	for sp, val := range p.d[s*p.n : s*p.n+k] {
+		md[v.leafID[sp]] = val
+	}
+	order := v.order[:k-1]
+	for _, x := range order {
+		m := md[v.left[x]]
+		if mr := md[v.right[x]]; mr > m {
+			m = mr
+		}
+		md[x] = m
+	}
 	root := v.root
 	r[root] = 0
-	stk[0] = root
-	for sp := 1; sp > 0; {
-		sp--
-		x := stk[sp]
-		l := v.left[x]
-		if l == -1 {
-			continue
-		}
+	for i := len(order) - 1; i >= 0; i-- {
+		x := order[i]
 		a := r[x]
 		if half, hx := md[x]/2, v.height[x]; half > hx {
 			a += half - hx // A(x), charged to both subtrees
 		}
-		rt := v.right[x]
-		r[l], r[rt] = a, a
-		stk[sp], stk[sp+1] = l, rt
-		sp += 2
+		r[v.left[x]], r[v.right[x]] = a, a
 	}
 	base := v.Cost
 	if half, hr := md[root]/2, v.height[root]; half > hr {
@@ -257,6 +278,19 @@ func (p *Problem) insert(v *PNode, s int, e int32, cost float64, np *NodePool, m
 	default:
 		c.right[par] = in
 	}
+	// The new internal node goes just before its parent in the
+	// children-first order, so it follows e (listed before par already)
+	// and precedes every ancestor; above the root it becomes the last.
+	order := c.order[:v.K]
+	i := v.K - 1
+	if par != -1 {
+		for order[i-1] != par {
+			i--
+		}
+		i--
+		copy(order[i+1:], order[i:v.K-1])
+	}
+	order[i] = in
 	// Every ancestor rises to max(h(u), md[u]/2): its new cross pairs
 	// (s, j) with j below it need md[u]/2, and the rise of its on-path
 	// child never exceeds that, because heights grow toward the root and

@@ -34,8 +34,8 @@ const MaxSpecies = 64
 // distance matrix plus the precomputed lower-bound tail sums.
 type Problem struct {
 	n int
-	// d holds the permuted distances row-major with stride n, so the hot
-	// maxDistSweep scan walks one contiguous row instead of chasing a
+	// d holds the permuted distances row-major with stride n, so the
+	// pricing pass (price) reads one contiguous row instead of chasing a
 	// per-row pointer.
 	d    []float64
 	perm []int // perm[new] = old species index

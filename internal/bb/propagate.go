@@ -60,7 +60,7 @@ func (p *Problem) PropagatedLB(v *PNode, np *NodePool) float64 {
 		return v.LB
 	}
 	nn := int32(2*k - 1)
-	md, r, stk := np.scratch(int(nn))
+	md, r := np.scratch(int(nn))
 	follow := p.followHalf[k*p.n:]
 	extra := 0.0
 	for t := k; t < p.n; t++ {
@@ -71,7 +71,7 @@ func (p *Problem) PropagatedLB(v *PNode, np *NodePool) float64 {
 			// floor; this species cannot beat the current increment.
 			continue
 		}
-		p.price(v, t, md, r, stk)
+		p.price(v, t, md, r)
 		for x := int32(0); x < nn; x++ {
 			if sp := spend(v, x, md, r); sp < minSpend {
 				minSpend = sp
@@ -101,14 +101,14 @@ func (p *Problem) propagatedPrunes(v *PNode, ub float64, collectAll bool, np *No
 		return false
 	}
 	nn := int32(2*k - 1)
-	md, r, stk := np.scratch(int(nn))
+	md, r := np.scratch(int(nn))
 	follow := p.followHalf[k*p.n:]
 	for t := k; t < p.n; t++ {
 		delta := p.tail[t] - p.tail[t+1]
 		if !Prunes(v.LB+(follow[t]-delta), ub, collectAll) {
 			continue
 		}
-		p.price(v, t, md, r, stk)
+		p.price(v, t, md, r)
 		crosses := true
 		for x := int32(0); x < nn && crosses; x++ {
 			crosses = Prunes(v.LB+(spend(v, x, md, r)-delta), ub, collectAll)

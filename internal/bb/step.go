@@ -46,9 +46,11 @@ type Step struct {
 // crosses ub, draw one expansion from the budget, then Expand and recycle
 // v. Every discard is counted in Stats. The surviving children come back
 // by ascending LB and are either all complete, for the caller to offer to
-// its incumbent, or all open, for the caller to push. Run returns false
-// only when the budget is exhausted; v is then untouched, for the caller
-// to abandon.
+// its incumbent, or all open, for the caller to push. The returned slice
+// belongs to the Step and its Pool: it is valid until the next call on
+// the same pool, so the caller consumes it before its next step. Run
+// returns false only when the budget is exhausted; v is then untouched,
+// for the caller to abandon.
 func (s *Step) Run(v *PNode, ub float64) ([]*PNode, bool) {
 	collectAll := s.Opt.CollectAll
 	if Prunes(v.LB, ub, collectAll) {

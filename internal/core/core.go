@@ -51,10 +51,11 @@ type Options struct {
 }
 
 // parallelThreshold routes subproblems with at least this many groups to
-// the parallel engine (the paper feeds its small matrices to the parallel
-// branch-and-bound); smaller ones run sequentially to avoid goroutine
-// overhead. Thresholds of 12, 20, 30 and 65 ran the decompose batch within
-// run-to-run noise of each other.
+// the parallel engine when at least one further worker unit is free (the
+// paper feeds its small matrices to the parallel branch-and-bound);
+// smaller ones run sequentially to avoid goroutine overhead. Thresholds of
+// 12, 20, 30 and 65 ran the decompose batch within run-to-run noise of
+// each other.
 const parallelThreshold = 12
 
 // DefaultOptions is the paper's configuration: compact sets on, maximum
@@ -163,8 +164,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		k := len(h.Children)
 		// A big node adds the units free now to its goroutine's one.
 		grant := 1
-		parallel := k >= parallelThreshold && opt.Workers > 1
-		if parallel {
+		if k >= parallelThreshold && opt.Workers > 1 {
 			extra := sem.take(opt.Workers - 1)
 			defer sem.release(extra)
 			grant += extra
@@ -190,11 +190,12 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			// No search either, so no search statistics.
 			s.tree = pairTree(m, h, opt.Reduction)
 			s.sub.Cost = s.tree.Cost()
-		case parallel:
+		case grant > 1:
 			// Big subproblem: the parallel engine, as in the paper. It runs
-			// with as many workers as the semaphore could spare (at least
-			// one), so concurrent subproblems share the worker budget
-			// instead of multiplying it.
+			// with its goroutine's unit plus as many as the semaphore could
+			// spare, so concurrent subproblems share the worker budget
+			// instead of multiplying it. With no unit to spare, one-worker
+			// pbb only adds the master phase and scheduler to bb.Solve.
 			pres, err := pbb.Solve(small, pbb.Options{
 				Options: opt.BB, Workers: grant, InitialFanout: 2,
 			})

@@ -283,8 +283,13 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *bb.Incumbent,
 	epoch := inc.Epoch()
 	var scratch []*bb.PNode // reprune sweep buffer, allocated on first use
 	var iter int64
+	// owed counts the nodes this worker consumed without open children
+	// (pruned, offered or abandoned) that inFlight still counts: next
+	// settles them when the deque runs dry, and new children are paid
+	// from them first (see the scheduler invariant).
+	owed := 0
 	for {
-		v, ok := s.next(id, &rngState, tel)
+		v, ok := s.next(id, &rngState, tel, &owed)
 		if !ok {
 			if s.sampling {
 				s.publish(id, math.Inf(1), stats.Expanded)
@@ -306,7 +311,9 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *bb.Incumbent,
 			// lock — stale subproblems die here instead of being expanded.
 			epoch = e
 			ub = inc.Bound()
-			scratch = s.repruneLocal(id, d, ub, opt.CollectAll, np, stats, scratch)
+			var pruned int
+			scratch, pruned = s.repruneLocal(id, d, ub, opt.CollectAll, np, stats, scratch)
+			owed += pruned
 		}
 		var children []*bb.PNode
 		if !cancelled {
@@ -325,7 +332,7 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *bb.Incumbent,
 			if v.LB < openMin {
 				openMin = v.LB
 			}
-			s.finish(1)
+			owed++
 			np.Put(v)
 			continue
 		}
@@ -336,26 +343,35 @@ func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *bb.Incumbent,
 				np.Put(ch)
 			}
 		} else if n > 0 {
-			// Count the children in-flight BEFORE they become stealable,
-			// then push worst-first so the best child is popped next.
-			s.addInFlight(n)
+			// v's count passes to one child, and the other n−1 are paid
+			// from owed, adding only the rest to inFlight, BEFORE any
+			// child becomes stealable; then push worst-first so the best
+			// child is popped next.
+			if add := n - 1 - owed; add > 0 {
+				s.addInFlight(add)
+				owed = 0
+			} else {
+				owed -= n - 1
+			}
 			for i := n - 1; i >= 0; i-- {
 				s.pushLocal(id, d, children[i])
 			}
 			s.unpark(n)
+			continue
 		}
-		s.finish(1)
+		owed++
 	}
 }
 
 // repruneLocal empties the worker's own deque into scratch, discards every
 // node the refreshed bound prunes, and pushes the survivors back in their
-// original order. Runs only when the bound epoch changed — a handful of
-// times per search — and touches only the owner's end of the deque, so no
-// lock is needed; thieves racing the sweep simply steal nodes before the
-// sweep reaches them.
+// original order. It returns scratch and the number of nodes it pruned,
+// which the worker owes inFlight. Runs only when the bound epoch changed —
+// a handful of times per search — and touches only the owner's end of the
+// deque, so no lock is needed; thieves racing the sweep simply steal nodes
+// before the sweep reaches them.
 func (s *scheduler) repruneLocal(id int, d *deque, ub float64, collectAll bool,
-	np *bb.NodePool, stats *bb.Stats, scratch []*bb.PNode) []*bb.PNode {
+	np *bb.NodePool, stats *bb.Stats, scratch []*bb.PNode) ([]*bb.PNode, int) {
 	scratch = scratch[:0]
 	pruned := 0
 	for {
@@ -378,8 +394,7 @@ func (s *scheduler) repruneLocal(id int, d *deque, ub float64, collectAll bool,
 	for i := len(scratch) - 1; i >= 0; i-- {
 		s.pushLocal(id, d, scratch[i])
 	}
-	s.finish(pruned)
-	return scratch
+	return scratch, pruned
 }
 
 // splitmix64 spreads a small seed into a full-entropy xorshift state.

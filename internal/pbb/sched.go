@@ -37,12 +37,20 @@ func (s *SchedStats) Add(other SchedStats) {
 // atomic in-flight counting for termination detection, and a
 // spin-then-park idle protocol.
 //
-// Invariant: inFlight counts every subproblem that exists anywhere — in a
-// deque, in the ring, or in a worker's hands. Nodes are only created by a
-// worker that holds their parent, and addInFlight always runs before the
-// children become visible (push/donate), so inFlight reaching zero proves
-// the search space is exhausted; that transition sets done and wakes every
-// parked worker exactly once.
+// Invariant: inFlight is the number of subproblems that exist anywhere —
+// in a deque, in the ring, or in a worker's hands — plus what each worker
+// owes: the nodes it consumed without open children (pruned, offered or
+// abandoned) and has not yet subtracted. Nodes are only created by a
+// worker that holds their parent. A worker that expands its node into
+// n ≥ 1 open children passes the parent's count to one child and pays for
+// the other n−1 from what it owes, adding only the rest to inFlight, all
+// before any child becomes visible (push/donate). So inFlight never falls
+// below the true count, and most nodes cost no shared update at all. A
+// worker settles what it owes with finish when its own deque runs dry,
+// before it looks for work elsewhere or parks, so once every worker is
+// idle inFlight is exact, and reaching zero proves the search space is
+// exhausted; that transition sets done and wakes every parked worker
+// exactly once.
 type scheduler struct {
 	deques []deque
 	ring   globalRing
@@ -87,11 +95,11 @@ func (s *scheduler) publish(id int, lb float64, expanded int64) {
 
 // telemetry folds the published per-worker slots and the global ring into
 // one snapshot: an estimate of the best open lower bound, the summed
-// worker expansion count, and the open-node count (inFlight is exact by
-// the scheduler invariant). The LB estimate is approximate — deques are
-// not scanned, and a worker's slot can be momentarily stale — which is
-// the price of keeping the hot path at one branch; sequential engines
-// report exact frontier minima instead.
+// worker expansion count, and the open-node count (inFlight, which by the
+// scheduler invariant runs ahead of it by what busy workers owe). Both
+// estimates are approximate — deques are not scanned, and a worker's slot
+// can be momentarily stale — which is the price of keeping the hot path at
+// one branch; sequential engines report exact frontier minima instead.
 func (s *scheduler) telemetry() (lb float64, expanded int64, frontier int64) {
 	lb = math.Inf(1)
 	for i := range s.slots {
@@ -233,14 +241,19 @@ func (s *scheduler) trySteal(self int, rng *uint64) *bb.PNode {
 
 // next hands the worker its next subproblem: own deque bottom first
 // (cache-hot DFS order), then the overflow/seed ring, then stealing, then
-// a bounded spin, then park. It returns ok=false only when the search has
+// a bounded spin, then park. Once the deque is empty it settles owed, what
+// the worker owes inFlight. It returns ok=false only when the search has
 // terminated globally.
-func (s *scheduler) next(self int, rng *uint64, t *workerTel) (*bb.PNode, bool) {
+func (s *scheduler) next(self int, rng *uint64, t *workerTel, owed *int) (*bb.PNode, bool) {
 	d := &s.deques[self]
 	for {
 		if v := d.pop(); v != nil {
 			return v, true
 		}
+		// Out of local work: settle what the worker owes inFlight before
+		// looking elsewhere, so that the count can reach zero.
+		s.finish(*owed)
+		*owed = 0
 		if s.probe != nil {
 			s.probe.Emit(obs.Event{Kind: obs.WorkerDrain, Worker: self,
 				Nodes: t.stats.Expanded, Elapsed: time.Since(s.start)})
