@@ -15,14 +15,15 @@
 //	bb       sequential exact branch-and-bound (Algorithm BBU)
 //	pbb      parallel exact branch-and-bound (master/slave over goroutines)
 //	dist     distributed exact branch-and-bound (coordinator/worker farm)
-//	distc    distributed compact-set decomposition farm
 //	upgma    average-linkage heuristic
 //	upgmm    maximum-linkage heuristic (always feasible)
 //	nj       neighbor joining (additive, not ultrametric)
 //
-// With -algo dist/distc the coordinator spawns -workers localhost worker
+// With -algo dist the coordinator spawns -workers localhost worker
 // goroutines talking real HTTP by default; -dist-listen ADDR instead
-// serves the farm API on ADDR and waits for external evoworker processes.
+// serves the farm API on ADDR and waits for external evoworker processes,
+// which must come from the same build. The farm searches the whole
+// matrix; -max-nodes caps its expansions in total.
 package main
 
 import (
@@ -61,9 +62,9 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("evotree", flag.ContinueOnError)
 	var (
-		algo      = fs.String("algo", "compact", "algorithm: compact|bb|pbb|dist|distc|upgma|upgmm|nj")
+		algo      = fs.String("algo", "compact", "algorithm: compact|bb|pbb|dist|upgma|upgmm|nj")
 		workers   = fs.Int("workers", 4, "computing nodes for parallel runs")
-		distAddr  = fs.String("dist-listen", "", "with -algo dist/distc: serve the farm API on this address for external evoworker processes instead of spawning localhost workers")
+		distAddr  = fs.String("dist-listen", "", "with -algo dist: serve the farm API on this address for external evoworker processes instead of spawning localhost workers")
 		threeT    = fs.Bool("33", false, "apply the 3-3 relationship at the third species")
 		threeTAll = fs.Bool("33all", false, "apply the generalized per-insertion 3-3 filter")
 		propagate = fs.Bool("propagate", false, "re-bound popped nodes with the incremental ultrametric propagation bound (exact)")
@@ -230,18 +231,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			printSearchSummary(stderr, res.Stats, res.Sched)
 		}
 		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, nil, *quiet, *showStats, *showSets, *ascii)
-	case "dist", "distc":
-		red, err := compact.ParseReduction(*reduction)
-		if err != nil {
-			return err
-		}
-		opt := dist.Options{
-			Workers:   *workers,
-			Decompose: strings.ToLower(*algo) == "distc",
-			Reduction: red,
-			BB:        bbOpt,
-		}
+	case "dist":
+		opt := dist.Options{Workers: *workers, BB: bbOpt}
 		var res *dist.Result
+		var err error
 		if *distAddr != "" {
 			res, err = serveCoordinator(stderr, m, opt, *distAddr)
 		} else {
@@ -258,7 +251,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				res.Farm.Units, res.Farm.Done, res.Farm.Dispatches, res.Farm.Requeues,
 				res.Farm.Stale, res.Farm.Broadcasts, len(res.Farm.Workers))
 		}
-		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, res.CompactSets, *quiet, *showStats, *showSets, *ascii)
+		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, nil, *quiet, *showStats, *showSets, *ascii)
 	case "compact":
 		red, err := compact.ParseReduction(*reduction)
 		if err != nil {

@@ -204,21 +204,19 @@ func TestTraceFlag(t *testing.T) {
 
 func TestDistAlgo(t *testing.T) {
 	bbOut := runCLI(t, sample, "-algo", "bb", "-q")
-	for _, algo := range []string{"dist", "distc"} {
-		out := runCLI(t, sample, "-algo", algo, "-workers", "2", "-stats")
-		if !strings.Contains(out, ";") {
-			t.Fatalf("%s: no Newick:\n%s", algo, out)
-		}
-		if !strings.Contains(out, "search complete=true") {
-			t.Fatalf("%s: farm did not prove completeness:\n%s", algo, out)
-		}
-		if !strings.Contains(out, "# farm: units=") {
-			t.Fatalf("%s: missing farm stats line:\n%s", algo, out)
-		}
-		// Exact engines on an ultrametric instance agree on the tree.
-		if lines := strings.Split(strings.TrimSpace(out), "\n"); lines[len(lines)-1] != strings.TrimSpace(bbOut) {
-			t.Fatalf("%s tree %q != bb tree %q", algo, lines[len(lines)-1], strings.TrimSpace(bbOut))
-		}
+	out := runCLI(t, sample, "-algo", "dist", "-workers", "2", "-stats")
+	if !strings.Contains(out, ";") {
+		t.Fatalf("no Newick:\n%s", out)
+	}
+	if !strings.Contains(out, "search complete=true") {
+		t.Fatalf("farm did not prove completeness:\n%s", out)
+	}
+	if !strings.Contains(out, "# farm: units=") {
+		t.Fatalf("missing farm stats line:\n%s", out)
+	}
+	// Exact engines on an ultrametric instance agree on the tree.
+	if lines := strings.Split(strings.TrimSpace(out), "\n"); lines[len(lines)-1] != strings.TrimSpace(bbOut) {
+		t.Fatalf("dist tree %q != bb tree %q", lines[len(lines)-1], strings.TrimSpace(bbOut))
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 // upper bound every searcher prunes against, the tree at that bound, the
 // tied optima under Options.CollectAll, and the Solutions and UBUpdates
 // counts. The sequential driver, pbb's master and workers, and the farm
-// coordinator (one per matrix) all offer through it, so the tie rule is
-// written once.
+// coordinator all offer through it, so the tie rule is written once.
 //
 // The bound is published as atomic float64 bits plus an epoch counter:
 // Bound and Epoch are one atomic load each, so searchers read the

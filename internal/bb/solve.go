@@ -34,7 +34,9 @@ type Options struct {
 	CollectAll bool
 	// MaxNodes aborts the search after expanding this many BBT nodes when
 	// positive; Result.Optimal reports false in that case. A safety valve
-	// for the experiment harness.
+	// for the experiment harness. The budget is per search: core gives
+	// each subproblem of a decomposition its own, while pbb and the dist
+	// farm share one between master and workers and never exceed it.
 	MaxNodes int64
 	// Ctx, when non-nil, cancels the search: the solver checks it
 	// periodically and returns the incumbent with Optimal=false once the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"evotree/internal/bb"
-	"evotree/internal/compact"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
 	"evotree/internal/tree"
@@ -25,20 +24,13 @@ import (
 // farm).
 type Options struct {
 	// Workers sizes the loopback farm Solve launches and, with fanout,
-	// the frontier target the coordinator slices per matrix. At least 1.
+	// the frontier target the coordinator slices. At least 1.
 	Workers int
-	// Decompose runs the compact-set decomposition and farms out one
-	// search per internal hierarchy node (the paper's condition 1);
-	// false farms frontier batches of the whole-matrix search (exact).
-	Decompose bool
-	// Reduction picks the decompose-mode group-distance rule. Default
-	// compact.Maximum, the only rule that keeps the merged tree feasible.
-	Reduction compact.Reduction
 	// BB carries the search options. UseMaxMin, Constraints and
-	// Propagate are shipped to the workers; MaxNodes is a farm-wide
-	// expansion budget; Ctx cancels Wait; Probe receives the
-	// coordinator's telemetry. NewCoordinator rejects CollectAll and
-	// NoInitialUB, which the farm does not implement.
+	// Propagate are shipped to the workers; MaxNodes is one budget that
+	// the slicer and every worker draw from; Ctx cancels Wait; Probe
+	// receives the coordinator's telemetry. NewCoordinator rejects
+	// CollectAll and NoInitialUB, which the farm does not implement.
 	BB bb.Options
 	// LeaseTTL is how long a worker may hold a unit before the
 	// coordinator re-queues it for someone else. Default 10s.
@@ -52,9 +44,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.Reduction == 0 {
-		o.Reduction = compact.Maximum
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
@@ -64,9 +53,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// fanout is how many units per worker the coordinator slices off each
-// matrix's branch-and-bound pool before serving — the paper's "2 times of
-// total nodes in the computing environment".
+// fanout is how many units per worker the coordinator slices off the
+// branch-and-bound pool before serving — the paper's "2 times of total
+// nodes in the computing environment".
 const fanout = 2
 
 // WorkerFarmStats are one worker's dispatch counters as seen by the
@@ -99,28 +88,16 @@ type Result struct {
 	OpenLB  float64 // proof floor of a truncated search; +Inf when complete
 	Stats   bb.Stats
 	Farm    FarmStats
-	// CompactSets are the detected sets in Decompose mode, nil otherwise.
-	CompactSets []compact.Set
 }
 
-// coordMatrix is one matrix being solved by the farm: the whole input in
-// frontier mode, one reduced matrix per internal hierarchy node in
-// decompose mode.
-type coordMatrix struct {
-	id  int
-	m   *matrix.Matrix
-	p   *bb.Problem // nil for 1-species matrices
-	np  *bb.NodePool
-	inc bb.Incumbent // seeded with the UPGMM tree, or the leaf of a 1-species matrix
-}
-
-// unit is one leasable piece of work: replay path over matrix mid, solve
-// the subtree to completion.
+// unit is one leasable piece of work: replay path, solve the subtree to
+// completion.
 type unit struct {
-	id, mid  int
+	id       int
 	path     []int
 	lb       float64 // seed lower bound (requeue ordering, truncation floor)
 	seq      uint64  // most recent lease sequence number, 0 = never leased
+	grant    int64   // budget the current lease holds; 0 once settled or written off
 	worker   string
 	deadline time.Time
 	queued   bool
@@ -133,23 +110,27 @@ type workerEntry struct {
 }
 
 // Coordinator owns a job: the unit queue, the lease table, and the
-// epoch-stamped incumbent bounds. All protocol handlers and Wait share
-// one mutex; the hot path of the farm (worker-side expansion) never
-// touches it.
+// epoch-stamped incumbent. All protocol handlers and Wait share one
+// mutex; the hot path of the farm (worker-side expansion) never touches
+// it.
 type Coordinator struct {
 	opt   Options
 	m     *matrix.Matrix
+	p     *bb.Problem // nil for a 1-species input, which has no search
+	np    *bb.NodePool
 	probe obs.Probe
 	start time.Time
 	job   string
+	// inc is seeded with the UPGMM tree, or the leaf of a 1-species
+	// input. Its epoch, bumped on every strict improvement, is the
+	// broadcast epoch workers long-poll on.
+	inc bb.Incumbent
 
 	mu          sync.Mutex
-	mats        []*coordMatrix
 	units       []*unit
 	queue       []int
 	outstanding int
 	seqCounter  uint64
-	epoch       uint64
 	boundCh     chan struct{} // closed and replaced on every epoch bump
 	doneCh      chan struct{} // closed when every unit is accounted for
 	done        bool
@@ -158,20 +139,18 @@ type Coordinator struct {
 	foldedStats bb.Stats // accepted worker results
 	truncated   bool
 	openLB      float64
-	// budget is the farm-wide expansion budget (nil when unlimited): the
-	// slicer draws from it, and accepted results are charged to it.
+	// budget is what is left of MaxNodes (nil when unlimited). The
+	// slicer draws from it; a lease reserves a grant from it, and held
+	// sums the grants of live leases.
 	budget *atomic.Int64
+	held   int64
 
-	dispatches, requeues, stale, broadcasts, messages int64
-
-	hier   *compact.Hierarchy
-	sets   []compact.Set
-	matByH map[*compact.Hierarchy]*coordMatrix
+	dispatches, requeues, stale, messages int64
 }
 
-// NewCoordinator decomposes m into work units according to opt and
-// returns a coordinator ready to serve workers. The master slicing runs
-// synchronously here (bounded: fanout×Workers nodes per matrix).
+// NewCoordinator opens the search on m, slices its frontier into work
+// units and returns a coordinator ready to serve workers. The master
+// slicing runs synchronously here (bounded: fanout×Workers nodes).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 	if opt.BB.CollectAll || opt.BB.NoInitialUB {
 		return nil, errors.New("dist: the farm does not support CollectAll or NoInitialUB")
@@ -189,29 +168,19 @@ func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 		openLB:  math.Inf(1),
 		budget:  bb.NewBudget(opt.BB.MaxNodes),
 	}
-	c.emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: m.Len()})
-	if opt.Decompose {
-		hier, sets, err := compact.BuildHierarchy(m)
+	if m.Len() == 1 {
+		c.emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: 1})
+		t := tree.New(0)
+		t.SetNames(m.Names())
+		c.inc.Seed(t, 0, opt.BB, c.start)
+	} else {
+		p, err := bb.NewProblem(m, opt.BB.UseMaxMin)
 		if err != nil {
 			return nil, err
 		}
-		c.hier, c.sets = hier, sets
-		c.matByH = make(map[*compact.Hierarchy]*coordMatrix)
-		for _, h := range hier.PostOrder() {
-			small, _, err := compact.Reduce(m, h, opt.Reduction)
-			if err != nil {
-				return nil, err
-			}
-			cm, err := c.addMatrix(small)
-			if err != nil {
-				return nil, err
-			}
-			c.matByH[h] = cm
-		}
-	} else {
-		if _, err := c.addMatrix(m); err != nil {
-			return nil, err
-		}
+		c.p, c.np = p, p.NewPool()
+		p.Start(opt.BB, c.start, &c.inc)
+		c.slice()
 	}
 	if c.outstanding == 0 {
 		c.done = true
@@ -220,97 +189,63 @@ func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// addMatrix seeds the incumbent for one matrix and slices its frontier
-// into units. Called during construction only (no locking needed).
-func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
-	cm := &coordMatrix{id: len(c.mats), m: m}
-	c.mats = append(c.mats, cm)
-	if m.Len() == 1 {
-		t := tree.New(0)
-		t.SetNames(m.Names())
-		cm.inc.Seed(t, 0, c.opt.BB, c.start)
-		return cm, nil
-	}
-	p, err := bb.NewProblem(m, c.opt.BB.UseMaxMin)
-	if err != nil {
-		return nil, err
-	}
-	cm.p, cm.np = p, p.NewPool()
-	t, cost := p.InitialUpperBound()
-	cm.inc.Seed(t, cost, c.opt.BB, c.start)
-	if !c.opt.Decompose {
-		c.emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: cost, Elapsed: time.Since(c.start)})
-	}
-	c.slice(cm)
-	return cm, nil
-}
-
-// slice runs the master branching phase for cm (bb.Step.Split, the
-// in-process parallel engine's master phase, budget and cancellation
-// included), then makes one unit per open frontier node.
-func (c *Coordinator) slice(cm *coordMatrix) {
-	target := fanout * c.opt.Workers
-	st := &bb.Step{P: cm.p, Opt: c.opt.BB, Pool: cm.np, Budget: c.budget, Stats: &c.masterStats}
+// slice runs the master branching phase (bb.Step.Split, the in-process
+// parallel engine's master phase, budget and cancellation included), then
+// makes one unit per open frontier node.
+func (c *Coordinator) slice() {
+	st := &bb.Step{P: c.p, Opt: c.opt.BB, Pool: c.np, Budget: c.budget, Stats: &c.masterStats}
 	c.masterStats.Roots++
-	frontier, ok := st.Split(cm.p.Root(), target, cm.inc.Bound(), func(v *bb.PNode) float64 {
-		c.offer(cm, v, obs.MasterWorker)
-		return cm.inc.Bound()
+	frontier, ok := st.Split(c.p.Root(), fanout*c.opt.Workers, c.inc.Bound(), func(v *bb.PNode) float64 {
+		c.offer(v, obs.MasterWorker)
+		return c.inc.Bound()
 	})
 	if !ok {
 		c.truncated = true
 	}
 	for _, v := range frontier {
-		u := &unit{id: len(c.units), mid: cm.id, path: v.Path(), lb: v.LB, queued: true}
+		u := &unit{id: len(c.units), path: v.Path(), lb: v.LB, queued: true}
 		c.units = append(c.units, u)
 		c.queue = append(c.queue, u.id)
 		c.outstanding++
-		cm.np.Put(v)
+		c.np.Put(v)
 	}
 }
 
-// offer folds the complete topology v into its matrix's incumbent; a
-// strict improvement also bumps the broadcast epoch and wakes the
-// long-pollers. Callers hold c.mu (or run during construction). worker is
-// the finder's telemetry id.
-func (c *Coordinator) offer(cm *coordMatrix, v *bb.PNode, worker int) {
-	if cm.inc.Offer(cm.p, v, worker, c.masterStats.Expanded+c.foldedStats.Expanded) {
-		c.epoch++
-		c.broadcasts++
+// offer folds the complete topology v into the incumbent; a strict
+// improvement also wakes the long-pollers. Callers hold c.mu (or run
+// during construction). worker is the finder's telemetry id.
+func (c *Coordinator) offer(v *bb.PNode, worker int) {
+	if c.inc.Offer(c.p, v, worker, c.masterStats.Expanded+c.foldedStats.Expanded) {
 		close(c.boundCh)
 		c.boundCh = make(chan struct{})
 	}
 }
 
-// offerWire validates a wire solution against its matrix — the path must
-// replay to a complete topology whose recomputed cost matches the claim —
-// and offers it to the incumbent. The bound can only tighten, and only
-// to a cost the coordinator itself has verified as realizable, so no
-// malformed, duplicate, or stale message can poison it. Caller holds c.mu.
+// offerWire validates a wire solution — the path must replay to a
+// complete topology whose recomputed cost matches the claim — and offers
+// it to the incumbent. The bound can only tighten, and only to a cost the
+// coordinator itself has verified as realizable, so no malformed,
+// duplicate, or stale message can poison it. Caller holds c.mu.
 func (c *Coordinator) offerWire(sol wireSolution, worker int) error {
-	if sol.Matrix < 0 || sol.Matrix >= len(c.mats) {
-		return fmt.Errorf("dist: unknown matrix %d", sol.Matrix)
-	}
-	cm := c.mats[sol.Matrix]
-	if cm.p == nil {
-		return fmt.Errorf("dist: matrix %d has no search", sol.Matrix)
+	if c.p == nil {
+		return errors.New("dist: the job has no search")
 	}
 	if !validCost(sol.Cost) {
 		return fmt.Errorf("dist: unusable cost %v", sol.Cost)
 	}
-	node, err := cm.p.WalkPath(sol.Path, cm.np)
+	node, err := c.p.WalkPath(sol.Path, c.np)
 	if err != nil {
 		return err
 	}
-	defer cm.np.Put(node)
-	if !node.Complete(cm.p) {
-		return fmt.Errorf("dist: solution path stops at %d of %d species", node.K, cm.p.N())
+	defer c.np.Put(node)
+	if !node.Complete(c.p) {
+		return fmt.Errorf("dist: solution path stops at %d of %d species", node.K, c.p.N())
 	}
 	got := node.Cost
 	if diff := math.Abs(got - sol.Cost); diff > 1e-9*math.Max(1, math.Abs(got)) {
 		return fmt.Errorf("dist: claimed cost %v, replay computes %v", sol.Cost, got)
 	}
-	c.offer(cm, node, worker)
+	c.offer(node, worker)
 	return nil
 }
 
@@ -330,7 +265,7 @@ func (c *Coordinator) farmStatsLocked() FarmStats {
 		Dispatches: c.dispatches,
 		Requeues:   c.requeues,
 		Stale:      c.stale,
-		Broadcasts: c.broadcasts,
+		Broadcasts: int64(c.inc.Epoch()),
 		Messages:   c.messages,
 	}
 	for _, u := range c.units {
@@ -371,19 +306,14 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) {
 		u.queued = true
 		c.queue = append(c.queue, u.id)
 		c.requeues++
+		// The lapsed holder may still be spending its grant: write it off.
+		c.held -= u.grant
+		u.grant = 0
 		we := c.workerEntryLocked(u.worker)
 		we.stats.Requeued++
 		c.emit(obs.Event{Kind: obs.Requeue, Worker: we.id, Nodes: int64(u.id),
 			Elapsed: time.Since(c.start)})
 	}
-}
-
-func (c *Coordinator) boundsLocked() []wireBound {
-	bounds := make([]wireBound, len(c.mats))
-	for i, cm := range c.mats {
-		bounds[i] = wireBound{Matrix: cm.id, Cost: cm.inc.Bound()}
-	}
-	return bounds
 }
 
 // Handler returns the coordinator's protocol endpoints. Every request
@@ -420,14 +350,11 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		Constraints: c.opt.BB.Constraints,
 		Propagate:   c.opt.BB.Propagate,
 		LeaseTTLMS:  c.opt.LeaseTTL.Milliseconds(),
-		Epoch:       c.epoch,
-		Bounds:      c.boundsLocked(),
+		Epoch:       c.inc.Epoch(),
+		Bound:       c.inc.Bound(),
 	}
-	for _, cm := range c.mats {
-		if cm.p == nil {
-			continue // 1-species matrices have no searchable units
-		}
-		info.Matrices = append(info.Matrices, toWireMatrix(cm.id, cm.m))
+	if c.p != nil { // a 1-species job has no search to ship
+		info.Matrix = toWireMatrix(c.m)
 	}
 	writeJSON(w, http.StatusOK, info)
 }
@@ -447,11 +374,15 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	c.requeueExpiredLocked(now)
-	resp := leaseResponse{Epoch: c.epoch, Bounds: c.boundsLocked()}
+	resp := leaseResponse{Epoch: c.inc.Epoch(), Bound: c.inc.Bound()}
 	switch {
 	case c.outstanding == 0 || c.done:
 		resp.Done = true
 	case len(c.queue) == 0:
+		resp.Wait = true
+	case c.budget != nil && c.budget.Load() <= 0 && c.held > 0:
+		// Live leases hold the whole budget; their refunds may fund this
+		// unit.
 		resp.Wait = true
 	default:
 		uid := c.queue[0]
@@ -467,10 +398,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.dispatches++
 		c.emit(obs.Event{Kind: obs.Dispatch, Worker: we.id, Nodes: int64(uid),
 			Elapsed: time.Since(c.start)})
-		resp.Unit, resp.Seq, resp.Matrix, resp.Path = u.id, u.seq, u.mid, u.path
+		resp.Unit, resp.Seq, resp.Path = u.id, u.seq, u.path
 		if c.budget != nil {
-			resp.Limited = true
-			resp.Budget = max(0, c.budget.Load())
+			// Reserve the grant now, so leases running at once can never
+			// spend more than the budget between them.
+			u.grant = max(0, c.budget.Load())
+			c.budget.Add(-u.grant)
+			c.held += u.grant
+			resp.Limited, resp.Budget = true, u.grant
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -520,7 +455,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.outstanding--
 		c.foldedStats.Add(req.Stats)
 		if c.budget != nil {
-			c.budget.Add(-req.Stats.Expanded)
+			// Refund the grant's unspent rest. The reported count is
+			// clamped to the grant, so no report can mint budget.
+			c.budget.Add(u.grant - min(max(req.Stats.Expanded, 0), u.grant))
+			c.held -= u.grant
+			u.grant = 0
 		}
 		if req.Truncated {
 			c.truncated = true
@@ -541,7 +480,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.emit(obs.Event{Kind: obs.StaleResult, Worker: we.id, Nodes: int64(u.id),
 			Elapsed: time.Since(c.start)})
 	}
-	resp.Epoch, resp.Bounds = c.epoch, c.boundsLocked()
+	resp.Epoch, resp.Bound = c.inc.Epoch(), c.inc.Bound()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -563,7 +502,13 @@ func (c *Coordinator) handleBound(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, boundsResponse{Epoch: c.epoch, Done: c.done, Bounds: c.boundsLocked()})
+	writeJSON(w, http.StatusOK, c.boundsLocked())
+}
+
+// boundsLocked is the bound snapshot GET /v1/bounds and POST /v1/bound
+// answer with.
+func (c *Coordinator) boundsLocked() boundsResponse {
+	return boundsResponse{Epoch: c.inc.Epoch(), Done: c.done, Bound: c.inc.Bound()}
 }
 
 func (c *Coordinator) handleBounds(w http.ResponseWriter, r *http.Request) {
@@ -576,8 +521,8 @@ func (c *Coordinator) handleBounds(w http.ResponseWriter, r *http.Request) {
 		c.gone(w, want)
 		return
 	}
-	if c.epoch > since || c.done {
-		resp := boundsResponse{Epoch: c.epoch, Done: c.done, Bounds: c.boundsLocked()}
+	if c.inc.Epoch() > since || c.done {
+		resp := c.boundsLocked()
 		c.mu.Unlock()
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -591,7 +536,7 @@ func (c *Coordinator) handleBounds(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 	}
 	c.mu.Lock()
-	resp := boundsResponse{Epoch: c.epoch, Done: c.done, Bounds: c.boundsLocked()}
+	resp := c.boundsLocked()
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -650,45 +595,12 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 		}
 	}
 
-	res := &Result{
-		Optimal:     !c.truncated,
-		OpenLB:      c.openLB,
-		CompactSets: c.sets,
-		Farm:        c.farmStatsLocked(),
-	}
-	res.Stats = c.masterStats
-	res.Stats.Add(c.foldedStats)
-	// Solutions and UBUpdates sum over the matrices, as the in-process
-	// pipeline sums them over its subproblems.
-	final := make([]bb.Result, len(c.mats))
-	for i, cm := range c.mats {
-		cm.inc.Result(&final[i])
-		res.Stats.Solutions += final[i].Stats.Solutions
-		res.Stats.UBUpdates += final[i].Stats.UBUpdates
-	}
-
-	var err error
-	if c.opt.Decompose {
-		// Each hierarchy node's incumbent is its group tree; the tree is
-		// assembled from them in one pass, as in the in-process pipeline.
-		trees := make(map[*compact.Hierarchy]*tree.Tree, len(c.matByH))
-		for h, cm := range c.matByH {
-			trees[h] = final[cm.id].Tree
-		}
-		res.Tree, err = compact.Assemble(c.hier, trees)
-		if err == nil {
-			res.Tree.SetNames(c.m.Names())
-			res.Cost = res.Tree.Cost()
-			if verr := res.Tree.Validate(1e-9); verr != nil {
-				err = fmt.Errorf("dist: assembled tree invalid: %w", verr)
-			}
-		}
-	} else {
-		res.Tree, res.Cost = final[0].Tree, final[0].Cost
-	}
-	if err != nil {
-		return nil, err
-	}
+	// The incumbent supplies the tree, the cost, Solutions and UBUpdates.
+	final := bb.Result{Stats: c.masterStats}
+	final.Stats.Add(c.foldedStats)
+	c.inc.Result(&final)
+	res := &Result{Tree: final.Tree, Cost: final.Cost, Optimal: !c.truncated,
+		OpenLB: c.openLB, Stats: final.Stats, Farm: c.farmStatsLocked()}
 	bb.EmitPruneStats(c.probe, obs.MasterWorker, res.Stats.Pruned, time.Since(c.start))
 	c.emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
 		Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(c.start)})

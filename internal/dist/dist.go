@@ -13,8 +13,7 @@ import (
 // Solve runs a complete localhost farm for m: it starts a coordinator on
 // a loopback listener, launches opt.Workers worker goroutines against it
 // over real HTTP, waits for the proven result, and tears the farm down.
-// The solve is exact (whole-matrix frontier mode) unless opt.Decompose is
-// set. opt.BB.Ctx cancels the farm; the incumbent is returned with
+// opt.BB.Ctx cancels the farm; the incumbent is returned with
 // Optimal=false in that case.
 func Solve(m *matrix.Matrix, opt Options) (*Result, error) {
 	return solveFarm(m, opt, 0)

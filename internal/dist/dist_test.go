@@ -5,12 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"evotree/internal/bb"
-	"evotree/internal/core"
 	"evotree/internal/matrix"
+	"evotree/internal/obs"
 )
 
 // identity asserts the farm-wide node-accounting identity.
@@ -64,86 +65,87 @@ func TestSolveMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSolveDecomposeMatchesPipeline checks decompose mode against the
-// in-process decomposition pipeline on ultrametric matrices (where the
-// decomposition is exact and clades are forced).
-func TestSolveDecomposeMatchesPipeline(t *testing.T) {
-	for i := 0; i < 8; i++ {
-		rng := rand.New(rand.NewSource(int64(300 + i)))
-		m := matrix.RandomUltrametric(rng, 5+rng.Intn(6), 100)
-		want, err := core.Construct(m, core.DefaultOptions(2))
-		if err != nil {
-			t.Fatalf("pipeline: %v", err)
-		}
-		res, err := Solve(m, Options{Workers: 3, Decompose: true, BB: bb.DefaultOptions()})
-		if err != nil {
-			t.Fatalf("dist decompose: %v", err)
-		}
-		if math.Abs(res.Cost-want.Cost) > 1e-9*math.Max(1, want.Cost) {
-			t.Errorf("seed %d: dist cost %v, pipeline %v", 300+i, res.Cost, want.Cost)
-		}
-		if err := res.Tree.Validate(1e-9); err != nil {
-			t.Errorf("seed %d: invalid tree: %v", 300+i, err)
-		}
-		identity(t, res.Stats)
-		if len(res.CompactSets) == 0 {
-			t.Logf("seed %d: no compact sets detected (allowed)", 300+i)
-		}
-	}
-}
-
-// TestDecomposeFarmCountsLikePipeline: a 1-worker decompose farm reports
-// the Solutions and UBUpdates of the in-process pipeline, which sums one
-// search's counts per subproblem. A worker's best reaches the coordinator
-// once — through POST /v1/bound, or with the result when that publish was
-// never acknowledged — and each matrix keeps its own count, so no solution
-// is counted twice and no matrix resets another's count.
-func TestDecomposeFarmCountsLikePipeline(t *testing.T) {
-	for seed := int64(7); seed <= 12; seed++ {
-		// Three blocks by species index mod 3, as experiments' blockRandom.
-		rng := rand.New(rand.NewSource(seed))
-		const n = 24
-		m := matrix.New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if i%3 == j%3 {
-					m.Set(i, j, float64(25+rng.Intn(26)))
-				} else {
-					m.Set(i, j, float64(60+rng.Intn(16)))
-				}
+// TestFarmCountsLikeSequential: a 1-worker farm reports the Solutions
+// and UBUpdates of bb.Solve. A worker's best reaches the coordinator once
+// — through POST /v1/bound, or with the result when that publish was
+// never acknowledged — so no solution is counted twice.
+func TestFarmCountsLikeSequential(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		n := 6 + i%6
+		rng := rand.New(rand.NewSource(int64(200 + i)))
+		for _, m := range []*matrix.Matrix{matrix.Random0100(rng, n), matrix.RandomMetric(rng, n, 1, 4)} {
+			want, err := bb.Solve(m, bb.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Solve(m, Options{Workers: 1, BB: bb.DefaultOptions()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != want.Cost {
+				t.Errorf("i=%d n=%d: farm cost %v, sequential %v", i, n, res.Cost, want.Cost)
+			}
+			if res.Stats.Solutions != want.Stats.Solutions || res.Stats.UBUpdates != want.Stats.UBUpdates {
+				t.Errorf("i=%d n=%d: farm Solutions=%d UBUpdates=%d, sequential Solutions=%d UBUpdates=%d",
+					i, n, res.Stats.Solutions, res.Stats.UBUpdates, want.Stats.Solutions, want.Stats.UBUpdates)
 			}
 		}
-		want, err := core.Construct(m, core.DefaultOptions(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Solve(m, Options{Workers: 1, Decompose: true, BB: bb.DefaultOptions()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != want.Cost {
-			t.Errorf("seed %d: farm cost %v, pipeline %v", seed, res.Cost, want.Cost)
-		}
-		if res.Stats.Solutions != want.Stats.Solutions || res.Stats.UBUpdates != want.Stats.UBUpdates {
-			t.Errorf("seed %d: farm Solutions=%d UBUpdates=%d, pipeline Solutions=%d UBUpdates=%d",
-				seed, res.Stats.Solutions, res.Stats.UBUpdates, want.Stats.Solutions, want.Stats.UBUpdates)
-		}
 	}
 }
 
-// TestSolveTrivial covers the n=1 and n=2 corners in both modes.
+// TestSolveTrivial covers the n=1 and n=2 corners: a 1-species input
+// returns its leaf without a search.
 func TestSolveTrivial(t *testing.T) {
 	one, _ := matrix.NewWithNames([]string{"A"})
 	two, _ := matrix.NewWithNames([]string{"A", "B"})
 	two.Set(0, 1, 4)
-	for _, mode := range []bool{false, true} {
-		for _, m := range []*matrix.Matrix{one, two} {
-			res, err := Solve(m, Options{Workers: 2, Decompose: mode, BB: bb.DefaultOptions()})
-			if err != nil {
-				t.Fatalf("n=%d decompose=%v: %v", m.Len(), mode, err)
+	for _, m := range []*matrix.Matrix{one, two} {
+		res, err := Solve(m, Options{Workers: 2, BB: bb.DefaultOptions()})
+		if err != nil {
+			t.Fatalf("n=%d: %v", m.Len(), err)
+		}
+		if res.Tree == nil || !res.Optimal {
+			t.Fatalf("n=%d: tree=%v optimal=%v", m.Len(), res.Tree, res.Optimal)
+		}
+	}
+}
+
+// TestFarmReportsSearchConfig: the coordinator opens its search as bb and
+// pbb do, so a probe sees ProblemStart, SearchConfig and SeedBound in that
+// order, and SearchConfig names the rule set bb.Solve names.
+func TestFarmReportsSearchConfig(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(14)), 8)
+	for name, options := range map[string]func() bb.Options{
+		"DefaultOptions": bb.DefaultOptions,
+		"StrongOptions":  bb.StrongOptions,
+	} {
+		var seq, farm []obs.Event
+		var mu sync.Mutex
+		opt := options()
+		opt.Probe = obs.ProbeFunc(func(ev obs.Event) { seq = append(seq, ev) })
+		if _, err := bb.Solve(m, opt); err != nil {
+			t.Fatal(err)
+		}
+		opt.Probe = obs.ProbeFunc(func(ev obs.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			farm = append(farm, ev)
+		})
+		if _, err := Solve(m, Options{Workers: 2, BB: opt}); err != nil {
+			t.Fatal(err)
+		}
+		want := []obs.Kind{obs.ProblemStart, obs.SearchConfig, obs.SeedBound}
+		if len(farm) < len(want) {
+			t.Fatalf("%s: %d events", name, len(farm))
+		}
+		for i, k := range want {
+			if farm[i].Kind != k {
+				t.Fatalf("%s: event %d is %v, want %v", name, i, farm[i].Kind, k)
 			}
-			if res.Tree == nil || !res.Optimal {
-				t.Fatalf("n=%d decompose=%v: tree=%v optimal=%v", m.Len(), mode, res.Tree, res.Optimal)
+		}
+		for _, ev := range seq {
+			if ev.Kind == obs.SearchConfig && ev.Phase != farm[1].Phase {
+				t.Errorf("%s: farm rule set %q, bb.Solve %q", name, farm[1].Phase, ev.Phase)
 			}
 		}
 	}
@@ -174,7 +176,10 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveBudget exhausts a tiny shared MaxNodes budget.
+// TestSolveBudget exhausts a tiny shared MaxNodes budget: the farm stops
+// short of the proof and expands no more nodes than the budget allows,
+// however its two workers' leases overlap. A generous budget still lets
+// the farm prove the optimum.
 func TestSolveBudget(t *testing.T) {
 	m := matrix.Random0100(rand.New(rand.NewSource(10)), 10)
 	opt := Options{Workers: 2, BB: bb.DefaultOptions()}
@@ -186,7 +191,21 @@ func TestSolveBudget(t *testing.T) {
 	if res.Optimal {
 		t.Fatalf("expected truncated result under MaxNodes=16")
 	}
+	if res.Stats.Expanded > 16 {
+		t.Errorf("expanded %d nodes under MaxNodes=16", res.Stats.Expanded)
+	}
 	identity(t, res.Stats)
+
+	// A budget the search does not need cuts nothing: a lease waits for
+	// the refunds of the leases holding the budget instead of starting on
+	// an empty grant.
+	opt.Workers, opt.BB.MaxNodes = 3, 100000
+	if res, err = Solve(m, opt); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if !res.Optimal {
+		t.Errorf("MaxNodes=100000 truncated a %d-node search", res.Stats.Expanded)
+	}
 }
 
 // TestFarmHonoursPropagate checks that Options.Propagate crosses the

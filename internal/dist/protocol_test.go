@@ -14,19 +14,6 @@ import (
 	"evotree/internal/matrix"
 )
 
-// ubOf reads a matrix's current incumbent bound under the lock.
-func ubOf(c *Coordinator, mid int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mats[mid].inc.Bound()
-}
-
-func epochOf(c *Coordinator) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
 // TestBoundOfferValidation: malformed, dishonest, incomplete, and worse
 // incumbent offers must all bounce off the coordinator without moving the
 // bound; only a replay-verified improvement tightens it.
@@ -36,8 +23,8 @@ func TestBoundOfferValidation(t *testing.T) {
 	m := matrix.Random0100(rand.New(rand.NewSource(66)), 8)
 	c, srv, want := startFarm(t, m, Options{Workers: 2, BB: bb.DefaultOptions()})
 
-	ub0 := ubOf(c, 0)
-	epoch0 := epochOf(c)
+	ub0 := c.inc.Bound()
+	epoch0 := c.inc.Epoch()
 	if ub0 <= want {
 		t.Fatalf("test premise broken: master incumbent %v already at/below optimum %v", ub0, want)
 	}
@@ -84,12 +71,10 @@ func TestBoundOfferValidation(t *testing.T) {
 		name string
 		sol  wireSolution
 	}{
-		{"unknown matrix", wireSolution{Matrix: 99, Path: optimal, Cost: optCost}},
-		{"negative matrix", wireSolution{Matrix: -1, Path: optimal, Cost: optCost}},
-		{"garbage path", wireSolution{Matrix: 0, Path: []int{0, 99, 3}, Cost: optCost}},
-		{"incomplete path", wireSolution{Matrix: 0, Path: optimal[:len(optimal)-1], Cost: optCost}},
-		{"dishonest cost", wireSolution{Matrix: 0, Path: optimal, Cost: optCost / 2}},
-		{"negative cost", wireSolution{Matrix: 0, Path: optimal, Cost: -1}},
+		{"garbage path", wireSolution{Path: []int{0, 99, 3}, Cost: optCost}},
+		{"incomplete path", wireSolution{Path: optimal[:len(optimal)-1], Cost: optCost}},
+		{"dishonest cost", wireSolution{Path: optimal, Cost: optCost / 2}},
+		{"negative cost", wireSolution{Path: optimal, Cost: -1}},
 	}
 	for _, tc := range cases {
 		code, _ := offer(tc.sol)
@@ -100,7 +85,7 @@ func TestBoundOfferValidation(t *testing.T) {
 	// A NaN cost cannot even be expressed in JSON; the raw token is a
 	// decode error, rejected before any solver state is touched.
 	resp, err := http.Post(srv.URL+pathBound, "application/json",
-		strings.NewReader(`{"job":"`+c.Job()+`","worker":"adv","solution":{"matrix":0,"path":[0],"cost":NaN}}`))
+		strings.NewReader(`{"job":"`+c.Job()+`","worker":"adv","solution":{"path":[0],"cost":NaN}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +93,10 @@ func TestBoundOfferValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("NaN cost: status %d, want 400", resp.StatusCode)
 	}
-	if got := ubOf(c, 0); got != ub0 {
+	if got := c.inc.Bound(); got != ub0 {
 		t.Fatalf("invalid offers moved the bound: %v -> %v", ub0, got)
 	}
-	if got := epochOf(c); got != epoch0 {
+	if got := c.inc.Epoch(); got != epoch0 {
 		t.Fatalf("invalid offers bumped the epoch: %d -> %d", epoch0, got)
 	}
 
@@ -120,14 +105,14 @@ func TestBoundOfferValidation(t *testing.T) {
 	// idempotent), and a worse-but-valid solution after it is a silent
 	// no-op.
 	for i := 0; i < 3; i++ {
-		if code, _ := offer(wireSolution{Matrix: 0, Path: optimal, Cost: optCost}); code != http.StatusOK {
+		if code, _ := offer(wireSolution{Path: optimal, Cost: optCost}); code != http.StatusOK {
 			t.Fatalf("honest offer #%d: status %d", i, code)
 		}
 	}
-	if got := ubOf(c, 0); got != want {
+	if got := c.inc.Bound(); got != want {
 		t.Fatalf("bound after honest offer: %v, want %v", got, want)
 	}
-	if got := epochOf(c); got != epoch0+1 {
+	if got := c.inc.Epoch(); got != epoch0+1 {
 		t.Errorf("epoch after 3 identical honest offers: %d, want %d", got, epoch0+1)
 	}
 }
@@ -135,7 +120,7 @@ func TestBoundOfferValidation(t *testing.T) {
 // TestMalformedRequests: syntactically broken bodies, unknown fields and
 // anything but white space after the value are 400s; a body over
 // maxBodyBytes is a 413; unknown units are 400s; a stale-epoch long-poll
-// answers immediately with the current table instead of blocking.
+// answers immediately with the current bound instead of blocking.
 func TestMalformedRequests(t *testing.T) {
 	m := matrix.Random0100(rand.New(rand.NewSource(52)), 8)
 	c, srv, _ := startFarm(t, m, Options{Workers: 1, BB: bb.DefaultOptions()})
@@ -182,7 +167,7 @@ func TestMalformedRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("bounds poll: status %d", resp.StatusCode)
 	}
-	if elapsed := time.Since(startedAt); c.epoch > 0 && elapsed > time.Second {
+	if elapsed := time.Since(startedAt); c.inc.Epoch() > 0 && elapsed > time.Second {
 		t.Errorf("stale-epoch poll blocked for %v", elapsed)
 	}
 }

@@ -1,23 +1,25 @@
 // Package dist is the distributed solve farm: a coordinator process that
-// decomposes a minimum-ultrametric-tree instance into work units and
+// slices one minimum-ultrametric-tree instance into work units and
 // leases them to worker processes over a small HTTP/JSON protocol, plus
 // the worker loop itself. It turns the paper's "16-node Linux cluster"
-// setting into a real multi-process engine: the coordinator runs the
-// compact-set decomposition (or slices frontier batches off the whole-
-// matrix branch-and-bound pool), workers solve units against the shared
-// incumbent bound, and the coordinator broadcasts every strict bound
-// improvement as an epoch-stamped update so workers lazily re-prune —
-// the networked analogue of the in-process scheduler's atomic epoch.
+// setting into a real multi-process engine: the coordinator slices
+// frontier batches off the whole-matrix branch-and-bound pool, workers
+// solve units against the shared incumbent bound, and the coordinator
+// broadcasts every strict bound improvement as an epoch-stamped update
+// so workers lazily re-prune — the networked analogue of the in-process
+// scheduler's atomic epoch. The compact-set decomposition runs in
+// process (internal/core), not here.
 //
 // # Wire format
 //
 // Work units and incumbent solutions both travel as insertion paths
-// (bb.Path/bb.WalkPath): a unit is "matrix id + the positions that
-// rebuild its seed node", a solution is the full-length path of a
-// complete topology plus its claimed cost. The receiving side replays
-// the path and recomputes every bound itself, so a malformed or
-// dishonest message can be rejected outright and the shared bound can
-// never be poisoned below a realizable cost.
+// (bb.Path/bb.WalkPath): a unit is the positions that rebuild its seed
+// node, a solution is the full-length path of a complete topology plus
+// its claimed cost. The receiving side replays the path and recomputes
+// every bound itself, so a malformed or dishonest message can be
+// rejected outright and the shared bound can never be poisoned below a
+// realizable cost. The messages carry no version: coordinator and
+// workers must come from one build.
 //
 // # Fault tolerance
 //
@@ -30,6 +32,16 @@
 // across the whole farm. Late results from expired leases still offer
 // their solution to the incumbent (bounds only tighten; the offer is
 // idempotent) but contribute no statistics.
+//
+// # Budget
+//
+// A positive MaxNodes is one budget for the whole farm. Each lease
+// reserves all that is left of it, and the accepted result refunds what
+// the unit did not spend, so leases never expand more than the budget
+// between them. While live leases hold all of it, a lease request is
+// told to wait for a refund: under a budget the units run one at a time.
+// A lapsed lease's grant is written off, since its holder may still be
+// spending it.
 package dist
 
 import (
@@ -47,24 +59,23 @@ import (
 
 // Protocol endpoints, all rooted under the coordinator's base URL.
 const (
-	pathJob    = "/v1/job"    // GET: job description (matrices, options)
+	pathJob    = "/v1/job"    // GET: job description (matrix, options)
 	pathLease  = "/v1/lease"  // POST: acquire a work-unit lease
 	pathResult = "/v1/result" // POST: report a finished unit
 	pathBound  = "/v1/bound"  // POST: offer an incumbent improvement
-	pathBounds = "/v1/bounds" // GET: long-poll the epoch-stamped bounds
+	pathBounds = "/v1/bounds" // GET: long-poll the epoch-stamped bound
 )
 
-// wireMatrix ships one distance matrix. Distances travel as JSON numbers
+// wireMatrix ships the distance matrix. Distances travel as JSON numbers
 // (Go encodes float64 with strconv's shortest round-trip form), so the
 // worker reconstructs a bit-identical matrix and both sides derive the
 // same max–min permutation and the same bounds.
 type wireMatrix struct {
-	ID    int         `json:"id"`
 	Names []string    `json:"names"`
 	D     [][]float64 `json:"d"`
 }
 
-func toWireMatrix(id int, m *matrix.Matrix) wireMatrix {
+func toWireMatrix(m *matrix.Matrix) *wireMatrix {
 	n := m.Len()
 	d := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -73,21 +84,21 @@ func toWireMatrix(id int, m *matrix.Matrix) wireMatrix {
 			d[i][j] = m.At(i, j)
 		}
 	}
-	return wireMatrix{ID: id, Names: m.Names(), D: d}
+	return &wireMatrix{Names: m.Names(), D: d}
 }
 
 func (w wireMatrix) toMatrix() (*matrix.Matrix, error) {
 	n := len(w.D)
 	if n == 0 || len(w.Names) != n {
-		return nil, fmt.Errorf("dist: matrix %d: %d rows, %d names", w.ID, n, len(w.Names))
+		return nil, fmt.Errorf("dist: matrix: %d rows, %d names", n, len(w.Names))
 	}
 	m, err := matrix.NewWithNames(w.Names)
 	if err != nil {
-		return nil, fmt.Errorf("dist: matrix %d: %w", w.ID, err)
+		return nil, fmt.Errorf("dist: matrix: %w", err)
 	}
 	for i := range w.D {
 		if len(w.D[i]) != n {
-			return nil, fmt.Errorf("dist: matrix %d: row %d has %d entries, want %d", w.ID, i, len(w.D[i]), n)
+			return nil, fmt.Errorf("dist: matrix: row %d has %d entries, want %d", i, len(w.D[i]), n)
 		}
 		for j := range w.D[i] {
 			m.Set(i, j, w.D[i][j])
@@ -97,22 +108,17 @@ func (w wireMatrix) toMatrix() (*matrix.Matrix, error) {
 }
 
 // jobInfo is the GET /v1/job response: everything a worker needs to
-// rebuild the coordinator's bb.Problems deterministically.
+// rebuild the coordinator's bb.Problem deterministically. Matrix is nil
+// for a 1-species input, which has no search.
 type jobInfo struct {
 	Job         string         `json:"job"`
 	UseMaxMin   bool           `json:"use_max_min"`
 	Constraints bb.Constraints `json:"constraints"`
 	Propagate   bool           `json:"propagate"`
-	Matrices    []wireMatrix   `json:"matrices"`
+	Matrix      *wireMatrix    `json:"matrix,omitempty"`
 	LeaseTTLMS  int64          `json:"lease_ttl_ms"`
 	Epoch       uint64         `json:"epoch"`
-	Bounds      []wireBound    `json:"bounds"`
-}
-
-// wireBound is one matrix's current incumbent upper bound.
-type wireBound struct {
-	Matrix int     `json:"matrix"`
-	Cost   float64 `json:"cost"`
+	Bound       float64        `json:"bound"`
 }
 
 // leaseRequest asks for a work unit.
@@ -126,30 +132,30 @@ type leaseResponse struct {
 	// Done: every unit is finished; the worker can exit.
 	Done bool `json:"done,omitempty"`
 	// Wait: nothing leasable right now (every pending unit is held by
-	// someone else); poll again shortly.
+	// someone else, or live leases hold the whole budget); poll again
+	// shortly.
 	Wait bool `json:"wait,omitempty"`
 
-	Unit   int    `json:"unit"`
-	Seq    uint64 `json:"seq"`
-	Matrix int    `json:"matrix"`
-	Path   []int  `json:"path"`
-	// Limited caps the unit's expansions at Budget (the remaining global
-	// MaxNodes allowance); an exhausted budget arrives as Limited with
-	// Budget 0 and makes the worker abandon the unit as a budget prune.
+	Unit int    `json:"unit"`
+	Seq  uint64 `json:"seq"`
+	Path []int  `json:"path"`
+	// Limited caps the unit's expansions at Budget, the share of
+	// MaxNodes the coordinator reserved for this lease; an exhausted
+	// budget arrives as Limited with Budget 0 and makes the worker
+	// abandon the unit as a budget prune.
 	Limited bool  `json:"limited,omitempty"`
 	Budget  int64 `json:"budget,omitempty"`
 
-	Epoch  uint64      `json:"epoch"`
-	Bounds []wireBound `json:"bounds"`
+	Epoch uint64  `json:"epoch"`
+	Bound float64 `json:"bound"`
 }
 
 // wireSolution is a complete topology as an insertion path plus the
 // sender's claimed cost. The receiver replays the path and trusts only
 // its own arithmetic.
 type wireSolution struct {
-	Matrix int     `json:"matrix"`
-	Path   []int   `json:"path"`
-	Cost   float64 `json:"cost"`
+	Path []int   `json:"path"`
+	Cost float64 `json:"cost"`
 }
 
 // resultRequest reports a finished (or budget-truncated) unit.
@@ -177,10 +183,10 @@ type resultResponse struct {
 	// statistics were folded into the farm totals. A false value means
 	// the lease was stale (expired, superseded, duplicate) — the work is
 	// discarded except for any solution it carried.
-	Accepted bool        `json:"accepted"`
-	Reason   string      `json:"reason,omitempty"`
-	Epoch    uint64      `json:"epoch"`
-	Bounds   []wireBound `json:"bounds"`
+	Accepted bool    `json:"accepted"`
+	Reason   string  `json:"reason,omitempty"`
+	Epoch    uint64  `json:"epoch"`
+	Bound    float64 `json:"bound"`
 }
 
 // boundRequest offers an incumbent improvement.
@@ -190,12 +196,12 @@ type boundRequest struct {
 	Solution wireSolution `json:"solution"`
 }
 
-// boundsResponse is the long-poll payload: the full per-matrix bound
-// table stamped with its epoch.
+// boundsResponse is the long-poll payload: the incumbent bound stamped
+// with its epoch.
 type boundsResponse struct {
-	Epoch  uint64      `json:"epoch"`
-	Done   bool        `json:"done,omitempty"`
-	Bounds []wireBound `json:"bounds"`
+	Epoch uint64  `json:"epoch"`
+	Done  bool    `json:"done,omitempty"`
+	Bound float64 `json:"bound"`
 }
 
 // writeJSON writes v with the given status.

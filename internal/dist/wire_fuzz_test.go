@@ -48,9 +48,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(byte(1), []byte(`{"job":"`+job+`","worker":"w","unit":-1}`))
 	f.Add(byte(1), []byte(`{"job":"`+job+`","worker":"w","unit":0,"seq":0}`))
 	f.Add(byte(1), []byte(`{"job":"`+job+`","worker":"w","unit":0,"stats":{"expanded":NaN}}`))
-	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":0,"path":[],"cost":-5}}`))
-	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":99,"path":[0,1],"cost":1e999}}`))
-	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"matrix":0,"path":[0,0,0,0,0,0,0],"cost":12}}`))
+	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"path":[],"cost":-5}}`))
+	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"path":[0,1],"cost":1e999}}`))
+	f.Add(byte(2), []byte(`{"job":"`+job+`","worker":"w","solution":{"path":[0,0,0,0,0,0,0],"cost":12}}`))
 	f.Add(byte(0), []byte(`{"job":"`+job+`","worker":"w"}}`))
 	f.Add(byte(0), []byte(`{"job":"`+job+`","worker":"w"}]`))
 

@@ -40,13 +40,13 @@ type WorkerOptions struct {
 
 // worker is the client side of the protocol: one joined job.
 type worker struct {
-	base   string
-	opt    WorkerOptions
-	job    jobInfo
-	probs  map[int]*bb.Problem
-	pools  map[int]*bb.NodePool
-	bounds []atomic.Uint64 // per-matrix incumbent bounds, float64 bits
-	epoch  atomic.Uint64
+	base  string
+	opt   WorkerOptions
+	job   jobInfo
+	p     *bb.Problem // nil when the job has no search (1 species)
+	np    *bb.NodePool
+	ub    atomic.Uint64 // the incumbent bound, float64 bits
+	epoch atomic.Uint64
 }
 
 // RunWorker joins the coordinator at baseURL and solves leased units until
@@ -71,9 +71,9 @@ func RunWorker(ctx context.Context, baseURL string, opt WorkerOptions) error {
 		return err
 	}
 
-	// The bound watcher long-polls the epoch-stamped bound table and
-	// refreshes the local atomic mirror, so the solver hot loop reads the
-	// freshest incumbent without ever blocking on the network.
+	// The bound watcher long-polls the epoch-stamped bound and refreshes
+	// the local atomic mirror, so the solver hot loop reads the freshest
+	// incumbent without ever blocking on the network.
 	watchCtx, stopWatch := context.WithCancel(ctx)
 	defer stopWatch()
 	go w.watchBounds(watchCtx)
@@ -82,55 +82,34 @@ func RunWorker(ctx context.Context, baseURL string, opt WorkerOptions) error {
 }
 
 // join fetches the job description and rebuilds the coordinator's
-// problems. The matrices travel as round-trip floats, so the rebuilt
-// problems derive the same max–min permutation and bit-identical bounds.
+// problem. The matrix travels as round-trip floats, so the rebuilt
+// problem derives the same max–min permutation and bit-identical bounds.
 func (w *worker) join(ctx context.Context) error {
 	if err := w.getJSON(ctx, pathJob, nil, &w.job); err != nil {
 		return err
 	}
-	w.probs = make(map[int]*bb.Problem, len(w.job.Matrices))
-	w.pools = make(map[int]*bb.NodePool, len(w.job.Matrices))
-	maxID := -1
-	for _, wm := range w.job.Matrices {
-		if wm.ID > maxID {
-			maxID = wm.ID
-		}
-	}
-	w.bounds = make([]atomic.Uint64, maxID+1)
-	for i := range w.bounds {
-		w.bounds[i].Store(math.Float64bits(math.Inf(1)))
-	}
-	for _, wm := range w.job.Matrices {
-		m, err := wm.toMatrix()
+	if w.job.Matrix != nil {
+		m, err := w.job.Matrix.toMatrix()
 		if err != nil {
 			return err
 		}
-		p, err := bb.NewProblem(m, w.job.UseMaxMin)
-		if err != nil {
+		if w.p, err = bb.NewProblem(m, w.job.UseMaxMin); err != nil {
 			return err
 		}
-		w.probs[wm.ID] = p
-		w.pools[wm.ID] = p.NewPool()
+		w.np = w.p.NewPool()
 	}
-	w.applyBounds(w.job.Epoch, w.job.Bounds)
+	w.ub.Store(math.Float64bits(w.job.Bound))
+	w.epoch.Store(w.job.Epoch)
 	return nil
 }
 
-// applyBounds folds a bound snapshot into the local mirror. Bounds only
+// applyBound folds a bound snapshot into the local mirror. Bounds only
 // ever tighten, so stale snapshots (reordered responses) are harmless.
-func (w *worker) applyBounds(epoch uint64, bounds []wireBound) {
-	for _, b := range bounds {
-		if b.Matrix < 0 || b.Matrix >= len(w.bounds) {
-			continue
-		}
-		for {
-			cur := w.bounds[b.Matrix].Load()
-			if math.Float64frombits(cur) <= b.Cost {
-				break
-			}
-			if w.bounds[b.Matrix].CompareAndSwap(cur, math.Float64bits(b.Cost)) {
-				break
-			}
+func (w *worker) applyBound(epoch uint64, bound float64) {
+	for {
+		cur := w.ub.Load()
+		if math.Float64frombits(cur) <= bound || w.ub.CompareAndSwap(cur, math.Float64bits(bound)) {
+			break
 		}
 	}
 	for {
@@ -141,12 +120,9 @@ func (w *worker) applyBounds(epoch uint64, bounds []wireBound) {
 	}
 }
 
-// bound returns the freshest known incumbent for a matrix.
-func (w *worker) bound(mid int) float64 {
-	if mid < 0 || mid >= len(w.bounds) {
-		return math.Inf(1)
-	}
-	return math.Float64frombits(w.bounds[mid].Load())
+// bound returns the freshest known incumbent.
+func (w *worker) bound() float64 {
+	return math.Float64frombits(w.ub.Load())
 }
 
 // watchBounds long-polls GET /v1/bounds. Errors are retried after Poll;
@@ -162,7 +138,7 @@ func (w *worker) watchBounds(ctx context.Context) {
 			sleep(ctx, w.opt.Poll)
 			continue
 		}
-		w.applyBounds(resp.Epoch, resp.Bounds)
+		w.applyBound(resp.Epoch, resp.Bound)
 		if resp.Done {
 			return
 		}
@@ -194,7 +170,7 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 			sleep(ctx, w.opt.Poll)
 			continue
 		}
-		w.applyBounds(lease.Epoch, lease.Bounds)
+		w.applyBound(lease.Epoch, lease.Bound)
 		result, err := w.solveUnit(ctx, lease)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -214,7 +190,7 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 			return nil
 		}
 		if err == nil {
-			w.applyBounds(ack.Epoch, ack.Bounds)
+			w.applyBound(ack.Epoch, ack.Bound)
 		}
 	}
 }
@@ -223,16 +199,16 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 // branch-and-bound below it against the shared incumbent mirror. The seed
 // node is not counted as a root — the coordinator generated it during
 // slicing, so the farm-wide ledger balances with the coordinator's single
-// root per matrix. The unit keeps only its best solution: each one is
+// root. The unit keeps only its best solution: each one is
 // published synchronously via POST /v1/bound before the search continues,
 // so sibling workers re-prune as early as possible, and it rides along in
 // the result only when the coordinator has not acknowledged it, so it is
 // offered once and a lost broadcast cannot lose the optimum.
 func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequest, error) {
 	res := resultRequest{Job: w.job.Job, Worker: w.opt.Name, Unit: lease.Unit, Seq: lease.Seq}
-	p, np := w.probs[lease.Matrix], w.pools[lease.Matrix]
+	p, np := w.p, w.np
 	if p == nil {
-		return res, fmt.Errorf("dist: lease for unknown matrix %d", lease.Matrix)
+		return res, errors.New("dist: lease for a job with no search")
 	}
 	seed, err := p.WalkPath(lease.Path, np)
 	if err != nil {
@@ -248,7 +224,7 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 	var bestPath []int
 	bestCost := math.Inf(1)
 	published := false // the coordinator acknowledged bestPath
-	bound := func() float64 { return math.Min(w.bound(lease.Matrix), bestCost) }
+	bound := func() float64 { return math.Min(w.bound(), bestCost) }
 	openLB := math.Inf(1)
 	var iter int64
 	stack := []*bb.PNode{seed}
@@ -290,7 +266,7 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 				// bestCost.
 				res.Stats.Completed++
 				bestPath, bestCost = ch.Path(), ch.Cost
-				published = w.publish(ctx, lease.Matrix, bestPath, bestCost)
+				published = w.publish(ctx, bestPath, bestCost)
 				np.Put(ch)
 			default:
 				stack = append(stack, ch)
@@ -301,30 +277,30 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 		res.HasOpen, res.OpenLB = true, openLB
 	}
 	if bestPath != nil && !published {
-		res.Best = &wireSolution{Matrix: lease.Matrix, Path: bestPath, Cost: bestCost}
+		res.Best = &wireSolution{Path: bestPath, Cost: bestCost}
 	}
 	return res, nil
 }
 
 // publish offers a unit's new best solution to the coordinator when it
-// beats the freshest known bound for matrix mid, and reports whether the
-// coordinator acknowledged it. A failed publish is tolerated: the worker
-// keeps pruning against the solution locally, and the caller sends it
-// with the unit's result instead.
-func (w *worker) publish(ctx context.Context, mid int, path []int, cost float64) bool {
-	if cost >= w.bound(mid) {
+// beats the freshest known bound, and reports whether the coordinator
+// acknowledged it. A failed publish is tolerated: the worker keeps
+// pruning against the solution locally, and the caller sends it with the
+// unit's result instead.
+func (w *worker) publish(ctx context.Context, path []int, cost float64) bool {
+	if cost >= w.bound() {
 		return false
 	}
 	var ack boundsResponse
 	err := w.postJSON(ctx, pathBound, boundRequest{
 		Job: w.job.Job, Worker: w.opt.Name,
-		Solution: wireSolution{Matrix: mid, Path: path, Cost: cost},
+		Solution: wireSolution{Path: path, Cost: cost},
 	}, &ack)
 	if err != nil {
-		w.applyBounds(w.epoch.Load(), []wireBound{{Matrix: mid, Cost: cost}})
+		w.applyBound(w.epoch.Load(), cost)
 		return false
 	}
-	w.applyBounds(ack.Epoch, ack.Bounds)
+	w.applyBound(ack.Epoch, ack.Bound)
 	return true
 }
 

@@ -5,17 +5,17 @@ import (
 )
 
 // TestDistDifferential sweeps the distributed farm engines (1-worker and
-// 4-worker loopback farms, plus the decompose-mode farm) against the
-// brute-force oracles across the oracle band. Every dist<N> run stands up
-// a real coordinator and HTTP workers, so this is the protocol's
-// end-to-end differential proof: lease dispatch, epoch-stamped bound
-// broadcast, and result folding must preserve the exact optimum.
+// 4-worker loopback farms) against the brute-force oracles across the
+// oracle band. Every dist<N> run stands up a real coordinator and HTTP
+// workers, so this is the protocol's end-to-end differential proof: lease
+// dispatch, epoch-stamped bound broadcast, and result folding must
+// preserve the exact optimum.
 func TestDistDifferential(t *testing.T) {
 	instances := 20
 	if testing.Short() {
 		instances = 8
 	}
-	engines, err := ParseEngines("bb,dist1,dist4,distc4")
+	engines, err := ParseEngines("bb,dist1,dist4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDistDifferentialFullBand(t *testing.T) {
 func TestDistGoldenPaCT(t *testing.T) {
 	m := loadGolden(t, "pact6.dist")
 	tol := Tol(m)
-	engines, err := ParseEngines("dist1,dist3,distc3")
+	engines, err := ParseEngines("dist1,dist3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,20 +109,13 @@ func engineByName(name string) (Engine, error) {
 	// dist<N> runs the distributed farm with N worker goroutines over a
 	// real loopback HTTP transport: an exact engine, so the differential
 	// harness proves lease dispatch, bound broadcast, and result folding
-	// preserve the optimum. distc<N> is its decompose-mode sibling (the
-	// compact-set path, checked like "compact"), and dists<N> and
-	// distcs<N> the two under the strong rule set, like pbbs<N>.
+	// preserve the optimum. dists<N> is the farm under the strong rule
+	// set, like pbbs<N>.
 	if w, ok := parseWorkers(name, "dist"); ok {
-		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.DefaultOptions())}, nil
-	}
-	if w, ok := parseWorkers(name, "distc"); ok {
-		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true, bb.DefaultOptions())}, nil
+		return Engine{Name: name, Exact: true, Run: distRun(name, w, bb.DefaultOptions())}, nil
 	}
 	if w, ok := parseWorkers(name, "dists"); ok {
-		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.StrongOptions())}, nil
-	}
-	if w, ok := parseWorkers(name, "distcs"); ok {
-		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true, bb.StrongOptions())}, nil
+		return Engine{Name: name, Exact: true, Run: distRun(name, w, bb.StrongOptions())}, nil
 	}
 	// pbbs<N> is the parallel engine with the strong rule set (the
 	// propagation bound), so the differential harness proves the bound
@@ -159,10 +152,9 @@ func engineByName(name string) (Engine, error) {
 
 // distRun wraps the distributed farm under the search options bbOpt as
 // an engine Run func.
-func distRun(name string, workers int, decompose bool, bbOpt bb.Options) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
+func distRun(name string, workers int, bbOpt bb.Options) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
 	return func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-		opt := dist.Options{Workers: workers, Decompose: decompose, Reduction: compact.Maximum}
-		opt.BB = bbOpt
+		opt := dist.Options{Workers: workers, BB: bbOpt}
 		opt.BB.MaxNodes = maxNodes
 		opt.BB.Probe = probe
 		res, err := dist.Solve(m, opt)
@@ -174,7 +166,7 @@ func distRun(name string, workers int, decompose bool, bbOpt bb.Options) func(*m
 }
 
 // parseWorkers recognizes a "<prefix><N>" engine name (pbb4, dist3,
-// distc2, ...) and returns its worker count.
+// dists2, ...) and returns its worker count.
 func parseWorkers(name, prefix string) (int, bool) {
 	s, ok := strings.CutPrefix(name, prefix)
 	if !ok || s == "" {
@@ -195,10 +187,8 @@ func PBBEngineName(workers int) string {
 
 // EngineNames lists the standard engine names, sorted. Any "pbb<N>"
 // (in-process parallel), "pbbs<N>" (parallel + strong rules), "dist<N>"
-// (loopback HTTP farm, exact), "dists<N>" (farm + strong rules),
-// "distc<N>" (farm + compact-set decomposition) or "distcs<N>" (farm +
-// decomposition + strong rules) with N ≥ 1 is additionally accepted by
-// ParseEngines for concurrency sweeps.
+// (loopback HTTP farm, exact) or "dists<N>" (farm + strong rules) with
+// N ≥ 1 is additionally accepted by ParseEngines for concurrency sweeps.
 func EngineNames() []string {
 	names := []string{"bb", "bb33", "bbprop", "bestfirst", "bestfirsts",
 		"pbb1", "pbb4", "pbb8", "pbbs4", "whole", "wholes", "compact", "compact33", "compacts"}
